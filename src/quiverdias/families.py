@@ -9,10 +9,9 @@ reporting witness points on any disagreement.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
-from .reports import Report, compare_supports, finish_report
+from .reports import Report, compare_supports
 from .supports import (
     OP,
     PLAIN,
@@ -161,7 +160,6 @@ def verify_commutativity(m: int, n: int, p: int, i: int, j: int) -> Report:
     """
     _require(1 <= i < j <= m, f"need 1 <= i < j <= m, got i={i}, j={j}, m={m}")
     _require(n >= 1 and p >= 1, f"need n, p >= 1, got n={n}, p={p}")
-    start = time.perf_counter()
     left = permute_axes(
         contract(s_support(m + p - 1, i, n), 1, s_support(m, j, p), 0), (0, 2, 1, 3)
     )
@@ -175,7 +173,7 @@ def verify_commutativity(m: int, n: int, p: int, i: int, j: int) -> Report:
         + compare_supports("right_vs_reference", right, ref)
     )
     params = {"m": m, "n": n, "p": p, "i": i, "j": j}
-    return finish_report("commutativity", params, left.size, right.size, witnesses, start)
+    return Report("commutativity", params, left.size, right.size, witnesses)
 
 
 def verify_associativity(m: int, n: int, p: int, i: int, j: int) -> Report:
@@ -183,7 +181,6 @@ def verify_associativity(m: int, n: int, p: int, i: int, j: int) -> Report:
     _require(1 <= i <= m, f"need 1 <= i <= m, got i={i}, m={m}")
     _require(1 <= j <= n, f"need 1 <= j <= n, got j={j}, n={n}")
     _require(p >= 1, f"need p >= 1, got p={p}")
-    start = time.perf_counter()
     left = contract(s_support(m, i, n + p - 1), 2, s_support(n, j, p), 0)
     right = permute_axes(
         contract(s_support(m + n - 1, j + i - 1, p), 1, s_support(m, i, n), 0), (0, 2, 3, 1)
@@ -195,7 +192,7 @@ def verify_associativity(m: int, n: int, p: int, i: int, j: int) -> Report:
         + compare_supports("right_vs_reference", right, ref)
     )
     params = {"m": m, "n": n, "p": p, "i": i, "j": j}
-    return finish_report("associativity", params, left.size, right.size, witnesses, start)
+    return Report("associativity", params, left.size, right.size, witnesses)
 
 
 def border_reversal_reference(m: int, n: int) -> Support:
@@ -228,7 +225,6 @@ def verify_border(m: int, n: int) -> Report:
     by template position: axis 2 carries length m, axis 1 length n.
     """
     _require(m >= 1 and n >= 1, f"need m, n >= 1, got m={m}, n={n}")
-    start = time.perf_counter()
     left = fiber_reversal(s_support(m, 1, n), 0, SUCCESSOR)
     mid = fiber_reversal(s_support(n, n, m), 2, PREDECESSOR)
     right = permute_axes(fiber_reversal(mid, 1, PREDECESSOR), (0, 2, 1))
@@ -240,7 +236,7 @@ def verify_border(m: int, n: int) -> Report:
         + compare_supports("right_vs_left", right, left)
     )
     params = {"m": m, "n": n}
-    return finish_report("border", params, left.size, right.size, witnesses, start)
+    return Report("border", params, left.size, right.size, witnesses)
 
 
 def inner_reversal_reference(m: int, n: int, i: int) -> Support:
@@ -273,7 +269,6 @@ def verify_inner(m: int, n: int, i: int) -> Report:
     length-m reversal at slot i-1, with both displayed sets matched."""
     _require(2 <= i <= m, f"need 2 <= i <= m, got i={i}, m={m}")
     _require(n >= 1, f"need n >= 1, got n={n}")
-    start = time.perf_counter()
     left = fiber_reversal(s_support(m, i, n), 0, SUCCESSOR)
     right = fiber_reversal(s_support(m, i - 1, n), 1, PREDECESSOR)
     witnesses = (
@@ -282,4 +277,4 @@ def verify_inner(m: int, n: int, i: int) -> Report:
         + compare_supports("right_vs_left", right, left)
     )
     params = {"m": m, "n": n, "i": i}
-    return finish_report("inner", params, left.size, right.size, witnesses, start)
+    return Report("inner", params, left.size, right.size, witnesses)

@@ -15,13 +15,12 @@ category, not one per factor).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .families import interval_support, s_support
-from .reports import Report, Witness, finish_report
+from .reports import Report, Witness
 from .supports import PLAIN, Support, contract
 
 BasisDesc = tuple[int, ...]
@@ -248,18 +247,16 @@ def _matrix_witnesses(check: str, left: K0Map, right: K0Map) -> list[Witness]:
 
 def duality_check(m: int, i: int, n: int) -> Report:
     """The transpose of the class-level insertion map is the composition map."""
-    start = time.perf_counter()
     nab = nabla_k0(m, i, n)
     comp = dias_compose_matrix(m, i, n)
     witnesses = _matrix_witnesses("transpose_vs_compose", nab.transposed(), comp)
     params = {"m": m, "i": i, "n": n}
-    return finish_report(
+    return Report(
         "duality",
         params,
         int(np.count_nonzero(nab.matrix)),
         int(np.count_nonzero(comp.matrix)),
         witnesses,
-        start,
     )
 
 
@@ -306,7 +303,6 @@ def verify_border_k0(m: int, n: int) -> Report:
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    start = time.perf_counter()
     nab_left = nabla_k0(m, 1, n)
     nab_right = nabla_k0(n, n, m)
     flip = flip_k0(n, m)
@@ -318,13 +314,12 @@ def verify_border_k0(m: int, n: int) -> Report:
         "tau_form", lhs_tau, rhs_tau
     )
     params = {"m": m, "n": n}
-    return finish_report(
+    return Report(
         "border_k0",
         params,
         int(np.count_nonzero(lhs_nu.matrix)),
         int(np.count_nonzero(rhs_nu.matrix)),
         witnesses,
-        start,
     )
 
 
@@ -338,7 +333,6 @@ def verify_inner_k0(m: int, n: int, i: int) -> Report:
         raise ValueError(f"need 2 <= i <= m, got i={i}, m={m}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    start = time.perf_counter()
     ident = K0Map.identity((n,))
     lhs_nu = nabla_k0(m, i, n) @ nu_k0(m + n - 1)
     rhs_nu = nu_k0(m).kron(ident) @ nabla_k0(m, i - 1, n)
@@ -348,13 +342,12 @@ def verify_inner_k0(m: int, n: int, i: int) -> Report:
         "tau_form", lhs_tau, rhs_tau
     )
     params = {"m": m, "n": n, "i": i}
-    return finish_report(
+    return Report(
         "inner_k0",
         params,
         int(np.count_nonzero(lhs_nu.matrix)),
         int(np.count_nonzero(rhs_nu.matrix)),
         witnesses,
-        start,
     )
 
 
@@ -378,7 +371,6 @@ def dias_operad_axiom_check(m: int, n: int, p: int, i: int, j: int) -> Report:
             f"slots i={i}, j={j} select neither the parallel (i<j<=m) nor the "
             f"nested (i<=m, j<=n) axiom for m={m}, n={n}"
         )
-    start = time.perf_counter()
     witnesses: list[Witness] = []
     parallel_checks = 0
     nested_checks = 0
@@ -398,7 +390,7 @@ def dias_operad_axiom_check(m: int, n: int, p: int, i: int, j: int) -> Report:
                     if lhs != rhs:
                         witnesses.append(Witness("nested", (a, b, c), f"{lhs} vs {rhs}"))
     params = {"m": m, "n": n, "p": p, "i": i, "j": j}
-    return finish_report("dias_axioms", params, parallel_checks, nested_checks, witnesses, start)
+    return Report("dias_axioms", params, parallel_checks, nested_checks, witnesses)
 
 
 def dias_tau(n: int) -> K0Map:
@@ -427,7 +419,6 @@ def tau_order_check(n: int) -> Report:
     n+1 is the identity for every n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    start = time.perf_counter()
     witnesses: list[Witness] = []
     for label, mp in (("tau", tau_k0(n)), ("dias_tau", dias_tau(n))):
         order = matrix_order(mp, n + 1)
@@ -435,4 +426,4 @@ def tau_order_check(n: int) -> Report:
             witnesses.append(Witness(label, (n,), f"power {n + 1} is not the identity"))
         elif n >= 2 and order != n + 1:
             witnesses.append(Witness(label, (n,), f"order {order}, expected {n + 1}"))
-    return finish_report("tau_order", {"n": n}, n, n, witnesses, start)
+    return Report("tau_order", {"n": n}, n, n, witnesses)

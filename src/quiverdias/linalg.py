@@ -17,9 +17,6 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def of_int(self, k: int) -> Fraction:
-        return Fraction(k)
-
     def add(self, a, b):
         return a + b
 
@@ -28,9 +25,6 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -56,9 +50,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % q
 
-    def of_int(self, k: int) -> int:
-        return k % self.q
-
     def add(self, a, b):
         return (a + b) % self.q
 
@@ -67,9 +58,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
 
     def inv(self, a):
         if a % self.q == 0:
@@ -91,13 +79,6 @@ Matrix = list[list]
 
 def zeros(field, rows: int, cols: int) -> Matrix:
     return [[field.zero] * cols for _ in range(rows)]
-
-
-def identity(field, n: int) -> Matrix:
-    out = zeros(field, n, n)
-    for k in range(n):
-        out[k][k] = field.one
-    return out
 
 
 def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:

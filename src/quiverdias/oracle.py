@@ -10,13 +10,12 @@ prime (default 32003).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 
 from .families import n_support, regular_support, s_support
 from .k0 import K0Vector
 from .linalg import Matrix, PrimeField, RationalField, mat_mul, rref, reduce_mod_rows, zeros
-from .reports import Report, Witness, finish_report
+from .reports import Report, Witness
 from .supports import (
     OP,
     PLAIN,
@@ -24,6 +23,7 @@ from .supports import (
     SUCCESSOR,
     Point,
     Shape,
+    SquareViolation,
     Support,
     contract,
     fiber_reversal,
@@ -33,6 +33,9 @@ from .supports import (
 
 RATIONAL = "rational"
 PRIME = "prime"
+# exclusive bound on the prime modulus: primality is decided by trial
+# division, which is instant below it and would hang on a large prime
+MAX_PRIME = 2**31
 
 
 def is_prime(q: int) -> bool:
@@ -58,20 +61,14 @@ class FieldConfig:
     def __post_init__(self) -> None:
         if self.kind not in (PRIME, RATIONAL):
             raise ValueError(f"kind must be {PRIME!r} or {RATIONAL!r}, got {self.kind!r}")
-        if self.kind == PRIME and not is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
+        if self.kind == PRIME:
+            if self.q >= MAX_PRIME:
+                raise ValueError(f"modulus {self.q} is too large: it must be below 2**31")
+            if not is_prime(self.q):
+                raise ValueError(f"modulus {self.q} is not prime")
 
     def field(self):
         return PrimeField(self.q) if self.kind == PRIME else RationalField()
-
-
-@dataclass(frozen=True)
-class RelationViolation:
-    """A commutation square whose two matrix composites differ."""
-
-    base: Point
-    axis_a: int
-    axis_b: int
 
 
 @dataclass
@@ -177,11 +174,11 @@ def _compose_via(module, F, src, mid, sink, first_axis, second_axis) -> Matrix:
     return mat_mul(F, second, first)
 
 
-def check_relations(module: QuiverModule) -> list[RelationViolation]:
+def check_relations(module: QuiverModule) -> list[SquareViolation]:
     """All commutation squares whose two composites disagree."""
     shape = module.shape
     k = shape.arity
-    out: list[RelationViolation] = []
+    out: list[SquareViolation] = []
     for base in shape.iter_points():
         for a in range(k):
             if base[a] >= shape.axes[a].length:
@@ -190,7 +187,7 @@ def check_relations(module: QuiverModule) -> list[RelationViolation]:
                 if base[b] >= shape.axes[b].length:
                     continue
                 if not _square_commutes(module, base, a, b):
-                    out.append(RelationViolation(base, a, b))
+                    out.append(SquareViolation(base, a, b))
     return out
 
 
@@ -426,7 +423,6 @@ def oracle_commutativity_check(
     m: int, n: int, p: int, i: int, j: int, config: FieldConfig = FieldConfig()
 ) -> Report:
     """Tensor both parallel-composition sides and compare with contract."""
-    start = time.perf_counter()
     s_top_l, s_bot_l = s_support(m + p - 1, i, n), s_support(m, j, p)
     s_top_r, s_bot_r = s_support(m + n - 1, j + n - 1, p), s_support(m, i, n)
     witnesses: list[Witness] = []
@@ -437,14 +433,13 @@ def oracle_commutativity_check(
         witnesses += _certify(tens, predicted, tag)
         sizes.append(predicted.size)
     params = {"m": m, "n": n, "p": p, "i": i, "j": j, "field": config.kind, "q": config.q}
-    return finish_report("oracle_commutativity", params, sizes[0], sizes[1], witnesses, start)
+    return Report("oracle_commutativity", params, sizes[0], sizes[1], witnesses)
 
 
 def oracle_associativity_check(
     m: int, n: int, p: int, i: int, j: int, config: FieldConfig = FieldConfig()
 ) -> Report:
     """Tensor both nested-composition sides and compare with contract."""
-    start = time.perf_counter()
     witnesses: list[Witness] = []
     sizes = []
     for tag, s_top, axis, s_bot in (
@@ -458,7 +453,7 @@ def oracle_associativity_check(
         witnesses += _certify(tens, predicted, tag)
         sizes.append(predicted.size)
     params = {"m": m, "n": n, "p": p, "i": i, "j": j, "field": config.kind, "q": config.q}
-    return finish_report("oracle_associativity", params, sizes[0], sizes[1], witnesses, start)
+    return Report("oracle_associativity", params, sizes[0], sizes[1], witnesses)
 
 
 def oracle_nakayama_gamma_check(
@@ -466,7 +461,6 @@ def oracle_nakayama_gamma_check(
 ) -> Report:
     """Tensoring with the Nakayama triangle on the op side is the successor
     reversal of the op axis."""
-    start = time.perf_counter()
     s = s_support(m, i, n)
     predicted = fiber_reversal(s, 0, SUCCESSOR)
     tens = tensor_over(
@@ -474,7 +468,7 @@ def oracle_nakayama_gamma_check(
     )
     witnesses = _certify(tens, predicted, "gamma")
     params = {"m": m, "n": n, "i": i, "field": config.kind, "q": config.q}
-    return finish_report("oracle_nakayama_gamma", params, s.size, predicted.size, witnesses, start)
+    return Report("oracle_nakayama_gamma", params, s.size, predicted.size, witnesses)
 
 
 def oracle_nakayama_mu_check(m: int, n: int, i: int, config: FieldConfig = FieldConfig()) -> Report:
@@ -482,7 +476,6 @@ def oracle_nakayama_mu_check(m: int, n: int, i: int, config: FieldConfig = Field
     predecessor reversal of the length-m axis (slot i-1 instances)."""
     if i < 2:
         raise ValueError(f"need i >= 2, got i={i}")
-    start = time.perf_counter()
     s = s_support(m, i - 1, n)
     predicted = fiber_reversal(s, 1, PREDECESSOR)
     tens = tensor_over(standard_module(s, config), 1, standard_module(n_support(m), config), 0)
@@ -491,16 +484,15 @@ def oracle_nakayama_mu_check(m: int, n: int, i: int, config: FieldConfig = Field
     predicted = permute_axes(predicted, (0, 2, 1))
     witnesses = _certify(tens, predicted, "mu")
     params = {"m": m, "n": n, "i": i, "field": config.kind, "q": config.q}
-    return finish_report("oracle_nakayama_mu", params, s.size, predicted.size, witnesses, start)
+    return Report("oracle_nakayama_mu", params, s.size, predicted.size, witnesses)
 
 
 def oracle_unit_check(m: int, n: int, i: int, config: FieldConfig = FieldConfig()) -> Report:
     """Tensoring with the regular bimodule changes nothing."""
-    start = time.perf_counter()
     s = s_support(m, i, n)
     tens = tensor_over(
         standard_module(regular_support(m + n - 1), config), 1, standard_module(s, config), 0
     )
     witnesses = _certify(tens, s, "unit")
     params = {"m": m, "n": n, "i": i, "field": config.kind, "q": config.q}
-    return finish_report("oracle_unit", params, s.size, s.size, witnesses, start)
+    return Report("oracle_unit", params, s.size, s.size, witnesses)

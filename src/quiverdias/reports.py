@@ -1,18 +1,18 @@
 """Structured verification outcomes and their line-oriented file format.
 
-A Report records one verifier run: what was checked, whether it passed, the
-cardinalities of the two compared sides, and witness coordinates from the
-symmetric difference when it did not.  A ReportFile bundles a sweep.  The
-persisted format is one JSON record per line: a header echoing the
-configuration, one record per report, and a summary trailer.  Wall-clock
-timings are kept in memory only, so the file bytes are reproducible across
-runs and worker counts for a fixed configuration and tool version.
+A Report records one verifier run: what was checked, the cardinalities of
+the two compared sides, and witness coordinates from the symmetric
+difference; it passed exactly when there is no witness.  A ReportFile
+bundles a sweep.  The persisted format is one JSON record per line: a header
+echoing the configuration, one record per report, and a summary trailer.
+Only the sweep as a whole is timed, and that total is kept in memory, so the
+file bytes are reproducible across runs and worker counts for a fixed
+configuration and tool version.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,34 +35,13 @@ class Witness:
 class Report:
     verifier: str
     params: dict
-    passed: bool
     left_size: int
     right_size: int
     witnesses: list[Witness]
-    elapsed_s: float
 
-    def __post_init__(self) -> None:
-        # pass holds exactly when there is no witness
-        assert self.passed == (not self.witnesses)
-
-
-def finish_report(
-    verifier: str,
-    params: dict,
-    left_size: int,
-    right_size: int,
-    witnesses: list[Witness],
-    start: float,
-) -> Report:
-    return Report(
-        verifier=verifier,
-        params=params,
-        passed=not witnesses,
-        left_size=left_size,
-        right_size=right_size,
-        witnesses=list(witnesses),
-        elapsed_s=time.perf_counter() - start,
-    )
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
 
 def compare_supports(check: str, left: Support, right: Support) -> list[Witness]:

@@ -76,11 +76,6 @@ class Shape:
     def lengths(self) -> tuple[int, ...]:
         return tuple(ax.length for ax in self.axes)
 
-    def in_bounds(self, point: Point) -> bool:
-        return len(point) == self.arity and all(
-            1 <= c <= ax.length for c, ax in zip(point, self.axes)
-        )
-
     def iter_points(self) -> Iterator[Point]:
         """All box points in lexicographic order."""
         return itertools.product(*(range(1, ax.length + 1) for ax in self.axes))
@@ -112,11 +107,14 @@ class Support:
 
 @dataclass(frozen=True)
 class SquareViolation:
-    """A commutation square broken by a support.
+    """A commutation square that does not commute, along axes axis_a < axis_b.
 
-    The square has source corner ``base`` and sink corner two arrow steps
-    away along the two axes; both are in the support while exactly one of
-    the intermediate corners is.
+    For a support (validate_standard), ``base`` is the source corner: it and
+    the sink corner two arrow steps away are in the support while exactly
+    one of the intermediate corners is.  For an explicit module
+    (oracle.check_relations), ``base`` is the corner with the smaller
+    coordinate on both axes, and the two matrix composites around the
+    square differ.
     """
 
     base: Point
@@ -182,15 +180,7 @@ def closure_check(support: Support, axis: int, sense: str) -> bool:
     """
     ax = _axis_at(support.shape, axis)
     sense = _resolve_sense(ax, sense)
-    top = ax.length
-    for vals in _fibers_along(support, axis).values():
-        if sense == UPWARD:
-            if len(vals) != top - min(vals) + 1:
-                return False
-        else:
-            if len(vals) != max(vals):
-                return False
-    return True
+    return _first_unclosed(_fibers_along(support, axis), ax.length, sense) is None
 
 
 def fiber(support: Support, axis: int, rest: Sequence[int]) -> set[int]:
@@ -228,21 +218,10 @@ def contract(s1: Support, a1: int, s2: Support, a2: int) -> Support:
         raise ValueError(f"left contraction axis {a1} must be plain, got {ax1.polarity}")
     if ax2.polarity != OP:
         raise ValueError(f"right contraction axis {a2} must be op, got {ax2.polarity}")
-    top = ax1.length
     f1 = _fibers_along(s1, a1)
     f2 = _fibers_along(s2, a2)
-    for rest, vals in f1.items():
-        if len(vals) != top - min(vals) + 1:
-            raise ClosureError(
-                f"left support is not upward-closed along axis {a1}: "
-                f"fiber at {rest} is {sorted(vals)}"
-            )
-    for rest, vals in f2.items():
-        if len(vals) != max(vals):
-            raise ClosureError(
-                f"right support is not downward-closed along axis {a2}: "
-                f"fiber at {rest} is {sorted(vals)}"
-            )
+    _require_closed(f1, ax1.length, UPWARD, f"left support, axis {a1}")
+    _require_closed(f2, ax2.length, DOWNWARD, f"right support, axis {a2}")
     new_shape = Shape(_drop_axis(s1.shape, a1) + _drop_axis(s2.shape, a2))
     pts = [
         r1 + r2
@@ -267,22 +246,11 @@ def fiber_reversal(support: Support, axis: int, mode: str) -> Support:
     if mode not in (PREDECESSOR, SUCCESSOR):
         raise ValueError(f"mode must be {PREDECESSOR!r} or {SUCCESSOR!r}, got {mode!r}")
     top = ax.length
+    fibers = _fibers_along(support, axis)
+    _require_closed(fibers, top, UPWARD if mode == PREDECESSOR else DOWNWARD, f"axis {axis}")
     out: list[Point] = []
-    for rest, vals in _fibers_along(support, axis).items():
-        if mode == PREDECESSOR:
-            t = min(vals)
-            if len(vals) != top - t + 1:
-                raise ClosureError(
-                    f"fiber at {rest} is not upward-closed along axis {axis}: {sorted(vals)}"
-                )
-            rng = range(1, t + 1)
-        else:
-            t = max(vals)
-            if len(vals) != t:
-                raise ClosureError(
-                    f"fiber at {rest} is not downward-closed along axis {axis}: {sorted(vals)}"
-                )
-            rng = range(t, top + 1)
+    for rest, vals in fibers.items():
+        rng = range(1, min(vals) + 1) if mode == PREDECESSOR else range(max(vals), top + 1)
         out.extend(rest[:axis] + (v,) + rest[axis:] for v in rng)
     return Support(support.shape, tuple(sorted(out)))
 
@@ -313,6 +281,23 @@ def _resolve_sense(ax: Axis, sense: str) -> str:
     raise ValueError(
         f"sense must be one of {UPWARD!r}, {DOWNWARD!r}, {PROJECTIVE!r}, {INJECTIVE!r}, got {sense!r}"
     )
+
+
+def _first_unclosed(fibers: dict[Point, set[int]], top: int, sense: str) -> Point | None:
+    """The first fiber that is not [t, top] (upward) or [1, t] (downward), if any."""
+    if sense == UPWARD:
+        bad = (rest for rest, vals in fibers.items() if len(vals) != top - min(vals) + 1)
+    else:
+        bad = (rest for rest, vals in fibers.items() if len(vals) != max(vals))
+    return next(bad, None)
+
+
+def _require_closed(fibers: dict[Point, set[int]], top: int, sense: str, where: str) -> None:
+    rest = _first_unclosed(fibers, top, sense)
+    if rest is not None:
+        raise ClosureError(
+            f"{where}: fiber at {rest} is not {sense}-closed: {sorted(fibers[rest])}"
+        )
 
 
 def _fibers_along(support: Support, axis: int) -> dict[Point, set[int]]:

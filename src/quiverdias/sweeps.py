@@ -7,6 +7,7 @@ count, so files are reproducible.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -44,10 +45,7 @@ class SweepConfig:
                 raise ValueError(f"{name} must be positive, got {v}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.field_kind not in (PRIME, RATIONAL):
-            raise ValueError(f"field must be {PRIME!r} or {RATIONAL!r}, got {self.field_kind!r}")
-        if self.field_kind == PRIME and not oracle.is_prime(self.prime):
-            raise ValueError(f"modulus {self.prime} is not prime")
+        self.field_config()  # validates the field kind and the modulus
         if self.effective_oracle_max > min(self.bounds):
             raise ValueError(
                 f"oracle max {self.effective_oracle_max} exceeds sweep bounds {self.bounds}"
@@ -85,9 +83,6 @@ _VERIFIERS = {
     "border_k0": k0.verify_border_k0,
     "inner_k0": k0.verify_inner_k0,
     "tau_order": k0.tau_order_check,
-}
-
-_ORACLE_VERIFIERS = {
     "oracle_commutativity": oracle.oracle_commutativity_check,
     "oracle_associativity": oracle.oracle_associativity_check,
     "oracle_nakayama_gamma": oracle.oracle_nakayama_gamma_check,
@@ -98,62 +93,78 @@ _ORACLE_VERIFIERS = {
 
 def run_task(task: Task) -> Report:
     name, params = task
-    if name in _VERIFIERS:
-        return _VERIFIERS[name](**params)
-    if name in _ORACLE_VERIFIERS:
-        kw = dict(params)
-        config = FieldConfig(kw.pop("field"), kw.pop("q"))
-        return _ORACLE_VERIFIERS[name](**kw, config=config)
-    raise ValueError(f"unknown verifier {name!r}")
+    verifier = _VERIFIERS.get(name)
+    if verifier is None:
+        raise ValueError(f"unknown verifier {name!r}")
+    if "field" in params:
+        params = dict(params)
+        params["config"] = FieldConfig(params.pop("field"), params.pop("q"))
+    return verifier(**params)
+
+
+# Parameter domains, each in canonical (lexicographic) order.
+
+
+def parallel_domain(mm: int, mn: int, mp: int) -> list[dict]:
+    """Parallel slot pairs: m, n, p within the bounds and 1 <= i < j <= m."""
+    return [
+        {"m": m, "n": n, "p": p, "i": i, "j": j}
+        for m in range(1, mm + 1)
+        for n in range(1, mn + 1)
+        for p in range(1, mp + 1)
+        for i in range(1, m + 1)
+        for j in range(i + 1, m + 1)
+    ]
+
+
+def nested_domain(mm: int, mn: int, mp: int) -> list[dict]:
+    """Nested slot pairs: m, n, p within the bounds, 1 <= i <= m, 1 <= j <= n."""
+    return [
+        {"m": m, "n": n, "p": p, "i": i, "j": j}
+        for m in range(1, mm + 1)
+        for n in range(1, mn + 1)
+        for p in range(1, mp + 1)
+        for i in range(1, m + 1)
+        for j in range(1, n + 1)
+    ]
+
+
+def pair_domain(mm: int, mn: int) -> list[dict]:
+    """All (m, n) within the bounds."""
+    return [{"m": m, "n": n} for m in range(1, mm + 1) for n in range(1, mn + 1)]
+
+
+def slot_domain(mm: int, mn: int, first: int) -> list[dict]:
+    """(m, n) within the bounds and a slot first <= i <= m."""
+    return [
+        {"m": m, "n": n, "i": i}
+        for m in range(1, mm + 1)
+        for n in range(1, mn + 1)
+        for i in range(first, m + 1)
+    ]
 
 
 def _cooperad_tasks(mm: int, mn: int, mp: int) -> list[Task]:
-    tasks: list[Task] = []
-    for m in range(2, mm + 1):
-        for n in range(1, mn + 1):
-            for p in range(1, mp + 1):
-                for i in range(1, m):
-                    for j in range(i + 1, m + 1):
-                        tasks.append(("commutativity", {"m": m, "n": n, "p": p, "i": i, "j": j}))
-    for m in range(1, mm + 1):
-        for n in range(1, mn + 1):
-            for p in range(1, mp + 1):
-                for i in range(1, m + 1):
-                    for j in range(1, n + 1):
-                        tasks.append(("associativity", {"m": m, "n": n, "p": p, "i": i, "j": j}))
-    for m in range(1, mm + 1):
-        for n in range(1, mn + 1):
-            for i in range(1, m + 1):
-                tasks.append(("duality", {"m": m, "i": i, "n": n}))
-    for m in range(1, mm + 1):
-        for n in range(1, mn + 1):
-            for p in range(1, mp + 1):
-                for i in range(1, m + 1):
-                    for j in range(1, max(m, n) + 1):
-                        if i < j <= m or j <= n:
-                            tasks.append(("dias_axioms", {"m": m, "n": n, "p": p, "i": i, "j": j}))
-    return tasks
+    parallel, nested = parallel_domain(mm, mn, mp), nested_domain(mm, mn, mp)
+    # the axiom check takes every slot pair that selects either axiom, once
+    either = {tuple(d.values()): d for d in parallel + nested}
+    return (
+        [("commutativity", d) for d in parallel]
+        + [("associativity", d) for d in nested]
+        + [("duality", d) for d in slot_domain(mm, mn, 1)]
+        + [("dias_axioms", either[key]) for key in sorted(either)]
+    )
 
 
 def _anticyclic_tasks(mm: int, mn: int) -> list[Task]:
-    tasks: list[Task] = []
-    for m in range(1, mm + 1):
-        for n in range(1, mn + 1):
-            tasks.append(("border", {"m": m, "n": n}))
-    for m in range(2, mm + 1):
-        for n in range(1, mn + 1):
-            for i in range(2, m + 1):
-                tasks.append(("inner", {"m": m, "n": n, "i": i}))
-    for m in range(1, mm + 1):
-        for n in range(1, mn + 1):
-            tasks.append(("border_k0", {"m": m, "n": n}))
-    for m in range(2, mm + 1):
-        for n in range(1, mn + 1):
-            for i in range(2, m + 1):
-                tasks.append(("inner_k0", {"m": m, "n": n, "i": i}))
-    for n in range(1, mm + mn):
-        tasks.append(("tau_order", {"n": n}))
-    return tasks
+    pairs, inner = pair_domain(mm, mn), slot_domain(mm, mn, 2)
+    return (
+        [("border", d) for d in pairs]
+        + [("inner", d) for d in inner]
+        + [("border_k0", d) for d in pairs]
+        + [("inner_k0", d) for d in inner]
+        + [("tau_order", {"n": n}) for n in range(1, mm + mn)]
+    )
 
 
 def _oracle_tasks(k: int, config: FieldConfig) -> list[Task]:
@@ -164,29 +175,12 @@ def _oracle_tasks(k: int, config: FieldConfig) -> list[Task]:
         configs.append(FieldConfig(RATIONAL))
     for cfg in configs:
         fc = {"field": cfg.kind, "q": cfg.q}
-        for m in range(2, k + 1):
-            for n in range(1, k + 1):
-                for p in range(1, k + 1):
-                    for i in range(1, m):
-                        for j in range(i + 1, m + 1):
-                            tasks.append(
-                                ("oracle_commutativity", {"m": m, "n": n, "p": p, "i": i, "j": j, **fc})
-                            )
-        for m in range(1, k + 1):
-            for n in range(1, k + 1):
-                for p in range(1, k + 1):
-                    for i in range(1, m + 1):
-                        for j in range(1, n + 1):
-                            tasks.append(
-                                ("oracle_associativity", {"m": m, "n": n, "p": p, "i": i, "j": j, **fc})
-                            )
-        for m in range(1, k + 1):
-            for n in range(1, k + 1):
-                for i in range(1, m + 1):
-                    tasks.append(("oracle_nakayama_gamma", {"m": m, "n": n, "i": i, **fc}))
-                    tasks.append(("oracle_unit", {"m": m, "n": n, "i": i, **fc}))
-                    if i >= 2:
-                        tasks.append(("oracle_nakayama_mu", {"m": m, "n": n, "i": i, **fc}))
+        tasks += [("oracle_commutativity", {**d, **fc}) for d in parallel_domain(k, k, k)]
+        tasks += [("oracle_associativity", {**d, **fc}) for d in nested_domain(k, k, k)]
+        for d in slot_domain(k, k, 1):
+            tasks += [("oracle_nakayama_gamma", {**d, **fc}), ("oracle_unit", {**d, **fc})]
+            if d["i"] >= 2:
+                tasks.append(("oracle_nakayama_mu", {**d, **fc}))
     return tasks
 
 
@@ -205,8 +199,11 @@ def build_tasks(config: SweepConfig) -> list[Task]:
 def run_sweep(config: SweepConfig) -> ReportFile:
     start = time.perf_counter()
     tasks = build_tasks(config)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # the executor starts its workers up front, so never ask for more than
+    # the machine or the sweep can use
+    workers = min(config.workers, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_task, tasks, chunksize=8))
     else:
         reports = [run_task(t) for t in tasks]

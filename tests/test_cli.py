@@ -102,7 +102,9 @@ def test_verify_summary_counts_match_reports(tmp_path):
     assert summary["total"] == len(reports)
 
 
-def test_verify_deterministic_across_workers(tmp_path):
+def test_verify_deterministic_across_workers(tmp_path, monkeypatch):
+    # two real workers even on a one-core machine, where the pool is clamped
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     d1, d2 = tmp_path / "w1", tmp_path / "w2"
     assert main(["verify", "--suite", "cooperad", "--max", "2", "--out", str(d1)]) == 0
     assert main(["verify", "--suite", "cooperad", "--max", "2", "--workers", "2",
@@ -129,8 +131,8 @@ def test_verify_failed_identity_exit_1(tmp_path, capsys, monkeypatch):
     from quiverdias.reports import Report, Witness
 
     def broken(m, n):
-        return Report("border", {"m": m, "n": n}, False, 1, 1,
-                      [Witness("right_vs_left", (1, 1, 1), "left only")], 0.0)
+        return Report("border", {"m": m, "n": n}, 1, 1,
+                      [Witness("right_vs_left", (1, 1, 1), "left only")])
 
     monkeypatch.setitem(sweeps._VERIFIERS, "border", broken)
     assert main(["verify", "--suite", "anticyclic", "--max", "1", "--out", str(tmp_path)]) == 1
@@ -146,6 +148,12 @@ def test_verify_config_error_exit_2(capsys):
     assert "oracle max" in capsys.readouterr().err
     assert main(["verify", "--max", "0"]) == 2
     assert main(["verify", "--field", "prime", "--prime", "10", "--max", "2"]) == 2
+
+
+def test_verify_huge_prime_refused_exit_2(capsys):
+    # refused before any primality test: trial division would not finish
+    assert main(["verify", "--max", "1", "--prime", str(2**61 - 1)]) == 2
+    assert "2**31" in capsys.readouterr().err
 
 
 # --- roundtrip -------------------------------------------------------------------

@@ -274,7 +274,6 @@ def test_inner_rejects_first_slot():
 def test_report_invariant_pass_iff_no_witnesses():
     for r in [verify_commutativity(3, 2, 2, 1, 3), verify_border(3, 3), verify_inner(3, 2, 2)]:
         assert r.passed == (not r.witnesses)
-        assert r.elapsed_s >= 0
 
 
 def test_shape_helper():

@@ -50,6 +50,12 @@ def test_composite_modulus_rejected():
         FieldConfig("prime", 32004)
 
 
+def test_modulus_bound():
+    assert FieldConfig("prime", 2**31 - 1).q == 2**31 - 1  # largest prime below the bound
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        FieldConfig("prime", 2**31)
+
+
 def test_bad_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         FieldConfig("complex")

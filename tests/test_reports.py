@@ -1,6 +1,10 @@
 """Report values, the report file format, and sweep configuration."""
 
+import hashlib
+
 import pytest
+
+import quiverdias.sweeps as sweeps
 
 from quiverdias.families import n_support
 from quiverdias.reports import (
@@ -12,14 +16,22 @@ from quiverdias.reports import (
     render_report_file,
     write_report_file,
 )
-from quiverdias.sweeps import SweepConfig, build_tasks, run_sweep, run_task
+from quiverdias.sweeps import (
+    SweepConfig,
+    build_tasks,
+    nested_domain,
+    pair_domain,
+    parallel_domain,
+    run_sweep,
+    run_task,
+    slot_domain,
+)
 
 
 def test_report_requires_consistent_pass_flag():
-    with pytest.raises(AssertionError):
-        Report("x", {}, True, 1, 1, [Witness("c", (1,))], 0.0)
-    with pytest.raises(AssertionError):
-        Report("x", {}, False, 1, 1, [], 0.0)
+    # passed is derived from the witnesses, so the two cannot disagree
+    assert not Report("x", {}, 1, 1, [Witness("c", (1,))]).passed
+    assert Report("x", {}, 1, 1, []).passed
 
 
 def test_compare_supports_tags_sides():
@@ -105,3 +117,76 @@ def test_oracle_tasks_run_both_fields():
     tasks = build_tasks(SweepConfig(suite="oracle", max_m=2))
     fields = {t[1]["field"] for t in tasks}
     assert fields == {"prime", "rational"}
+
+
+def test_report_bytes_are_pinned():
+    # fails when task order or the report format drifts
+    text = render_report_file(run_sweep(SweepConfig(suite="all", max_m=2)))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "e109685b60fbad802a20401911351fab454942d34c3370f65ec44fd1fb514efd"
+    )
+
+
+def test_domains_match_acceptance_ranges():
+    # the loops of acceptance criteria 1 to 4, written out independently
+    crit1 = [
+        (m, n, p, i, j)
+        for m in range(2, 6)
+        for n in range(1, 6)
+        for p in range(1, 6)
+        for i in range(1, m)
+        for j in range(i + 1, m + 1)
+    ]
+    crit2 = [
+        (m, n, p, i, j)
+        for m in range(1, 6)
+        for n in range(1, 6)
+        for p in range(1, 6)
+        for i in range(1, m + 1)
+        for j in range(1, n + 1)
+    ]
+    crit3 = [(m, n) for m in range(1, 7) for n in range(1, 7)]
+    crit4 = [(m, n, i) for m in range(2, 7) for n in range(1, 7) for i in range(2, m + 1)]
+
+    def five(dom):
+        return [(d["m"], d["n"], d["p"], d["i"], d["j"]) for d in dom]
+
+    assert five(parallel_domain(5, 5, 5)) == crit1
+    assert five(nested_domain(5, 5, 5)) == crit2
+    assert [(d["m"], d["n"]) for d in pair_domain(6, 6)] == crit3
+    assert [(d["m"], d["n"], d["i"]) for d in slot_domain(6, 6, 2)] == crit4
+
+
+def test_worker_pool_is_bounded(monkeypatch):
+    # a fake executor records the pool size and maps serially, so no
+    # process is started whatever the requested worker count
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+    many = SweepConfig(suite="anticyclic", max_m=2, workers=100_000)
+    three_tasks = SweepConfig(suite="anticyclic", max_m=1, workers=100_000)
+    assert len(build_tasks(three_tasks)) == 3
+
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
+    assert run_sweep(many).all_passed
+    assert sizes == [4]  # clamped to the cores
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
+    assert run_sweep(three_tasks).all_passed
+    assert sizes == [4, 3]  # clamped to the tasks
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)
+    assert run_sweep(many).all_passed
+    assert sizes == [4, 3]  # core count unknown: serial, no pool

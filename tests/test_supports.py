@@ -301,6 +301,24 @@ def test_reversal_involution_on_nonempty_fibers():
                 assert fiber_reversal(fiber_reversal(s, 1, PREDECESSOR), 1, SUCCESSOR) == s
 
 
+def test_gap_fiber_breaks_every_closure_check():
+    # {1, 3} on a length-3 axis is neither [t, 3] nor [1, t]
+    gap = make_support(shape_of(3), [(1,), (3,)])
+    gap_op = make_support(shape_of((3, OP), 1), [(1, 1), (3, 1)])
+    assert not closure_check(gap, 0, "upward")
+    assert not closure_check(gap, 0, "downward")
+    good_left = interval_support(3, "projective", 1)
+    good_right = make_support(shape_of((3, OP), 1), [(1, 1), (2, 1)])
+    assert contract(good_left, 0, good_right, 0).size == 1
+    with pytest.raises(ClosureError, match="left"):
+        contract(gap, 0, good_right, 0)
+    with pytest.raises(ClosureError, match="right"):
+        contract(good_left, 0, gap_op, 0)
+    for mode in (PREDECESSOR, SUCCESSOR):
+        with pytest.raises(ClosureError, match="not .*-closed"):
+            fiber_reversal(gap, 0, mode)
+
+
 def test_reversal_precondition_errors():
     s = interval_support(3, "projective", 2)  # upward-closed only
     with pytest.raises(ClosureError):
