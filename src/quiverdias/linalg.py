@@ -3,6 +3,11 @@
 Matrices are lists of row lists of field elements.  The vertexwise spaces
 handled by the module oracle are tiny, so plain Gaussian elimination is all
 that is needed; what matters is that every step is exact.
+
+The kernels bind the field's ``norm`` once and work with the native
+``+ - *`` of Python numbers, normalizing once per produced entry (delayed
+reduction); zero operands are skipped.  Normalized elements are falsy
+exactly when they are zero.
 """
 
 from __future__ import annotations
@@ -11,28 +16,25 @@ from fractions import Fraction
 
 
 class RationalField:
-    """Arithmetic on fractions; elements are fractions.Fraction."""
+    """Exact rationals; elements are ints while integral, Fractions otherwise."""
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
+    @staticmethod
+    def norm(x):
+        """Turn an integral Fraction back into an int."""
+        if type(x) is Fraction and x.denominator == 1:
+            return x.numerator
+        return x
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
+        if type(a) is int:
+            return a if a in (1, -1) else Fraction(1, a)
+        return self.norm(1 / a)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
@@ -42,7 +44,7 @@ class RationalField:
 
 
 class PrimeField:
-    """Arithmetic modulo a prime; elements are ints reduced to [0, q)."""
+    """Arithmetic modulo a prime; normalized elements are ints in [0, q)."""
 
     def __init__(self, q: int):
         self.q = q
@@ -50,22 +52,13 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % q
 
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
+    def norm(self, x):
+        return x % self.q
 
     def inv(self, a):
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.q)
-
-    def is_zero(self, a) -> bool:
-        return a % self.q == 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
@@ -77,24 +70,18 @@ class PrimeField:
 Matrix = list[list]
 
 
-def zeros(field, rows: int, cols: int) -> Matrix:
-    return [[field.zero] * cols for _ in range(rows)]
-
-
 def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
     """Product of conformant nonempty matrices."""
-    cols = len(b[0])
-    inner = len(b)
-    out = zeros(field, len(a), cols)
-    for r, arow in enumerate(a):
-        orow = out[r]
-        for k in range(inner):
-            v = arow[k]
-            if field.is_zero(v):
-                continue
-            brow = b[k]
-            for c in range(cols):
-                orow[c] = field.add(orow[c], field.mul(v, brow[c]))
+    norm = field.norm
+    out = []
+    for arow in a:
+        acc = [0] * len(b[0])
+        for v, brow in zip(arow, b):
+            if v:
+                for c, y in enumerate(brow):
+                    if y:
+                        acc[c] += v * y
+        out.append([norm(x) for x in acc])
     return out
 
 
@@ -102,29 +89,31 @@ def rref(field, rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form.
 
     Returns the nonzero reduced rows and their pivot columns; pivots are
-    normalized to one and cleared above and below.
+    normalized to one and cleared above and below.  Input entries need not
+    be normalized.
     """
-    mat = [list(r) for r in rows]
+    norm, inv = field.norm, field.inv
+    mat = [[norm(v) for v in r] for r in rows]
     if not mat:
         return [], []
-    ncols = len(mat[0])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for p in range(r, len(mat)):
-            if not field.is_zero(mat[p][c]):
-                pivot_row = p
+    for c in range(len(mat[0])):
+        for pivot_row in range(r, len(mat)):
+            if mat[pivot_row][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        scale = field.inv(mat[r][c])
-        mat[r] = [field.mul(scale, v) for v in mat[r]]
-        for p in range(len(mat)):
-            if p != r and not field.is_zero(mat[p][c]):
-                coef = mat[p][c]
-                mat[p] = [field.sub(x, field.mul(coef, y)) for x, y in zip(mat[p], mat[r])]
+        prow = mat[pivot_row]
+        mat[pivot_row] = mat[r]
+        scale = inv(prow[c])
+        if scale != 1:
+            prow = [norm(scale * v) if v else 0 for v in prow]
+        mat[r] = prow
+        for p, row in enumerate(mat):
+            coef = row[c]
+            if coef and p != r:
+                mat[p] = [norm(x - coef * y) if y else x for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -134,9 +123,10 @@ def rref(field, rows: list[list]) -> tuple[list[list], list[int]]:
 
 def reduce_mod_rows(field, vec: list, rref_rows: list[list], pivots: list[int]) -> list:
     """Reduce a vector modulo the row space given in reduced echelon form."""
-    v = list(vec)
+    norm = field.norm
+    v = [norm(x) for x in vec]
     for row, c in zip(rref_rows, pivots):
         coef = v[c]
-        if not field.is_zero(coef):
-            v = [field.sub(x, field.mul(coef, y)) for x, y in zip(v, row)]
+        if coef:
+            v = [norm(x - coef * y) if y else x for x, y in zip(v, row)]
     return v

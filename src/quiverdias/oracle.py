@@ -10,11 +10,13 @@ prime (default 32003).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .families import n_support, regular_support, s_support
 from .k0 import K0Vector
-from .linalg import Matrix, PrimeField, RationalField, mat_mul, rref, reduce_mod_rows, zeros
+from .linalg import Matrix, PrimeField, RationalField, mat_mul, rref, reduce_mod_rows
 from .reports import Report, Witness
 from .supports import (
     OP,
@@ -67,7 +69,9 @@ class FieldConfig:
             if not is_prime(self.q):
                 raise ValueError(f"modulus {self.q} is not prime")
 
+    @cached_property
     def field(self):
+        """The field itself, built once per config."""
         return PrimeField(self.q) if self.kind == PRIME else RationalField()
 
 
@@ -108,14 +112,14 @@ def arrow_between(module: QuiverModule, x: Point, y: Point, axis: int) -> Matrix
         raise ValueError(f"no arrow {x} -> {y} along axis {axis}")
     mat = module.maps.get((base, axis))
     if mat is None:
-        return zeros(module.config.field(), module.dim(y), module.dim(x))
+        return [[0] * module.dim(x) for _ in range(module.dim(y))]
     return mat
 
 
 def indicator_module(support: Support, config: FieldConfig = FieldConfig()) -> QuiverModule:
     """One-dimensional spaces on the support, identity maps between adjacent
     support points.  No standardness check; see standard_module."""
-    F = config.field()
+    F = config.field
     dims = {p: 1 for p in support.points}
     maps: dict[tuple[Point, int], Matrix] = {}
     for p in support.points:
@@ -139,72 +143,69 @@ def standard_module(support: Support, config: FieldConfig = FieldConfig()) -> Qu
     return indicator_module(support, config)
 
 
-def _square_commutes(module: QuiverModule, base: Point, a: int, b: int) -> bool:
-    F = module.config.field()
-    axes = module.shape.axes
-    # source corner: high coordinate on op axes, low on plain
-    src = list(base)
-    if axes[a].polarity == OP:
-        src[a] += 1
-    if axes[b].polarity == OP:
-        src[b] += 1
-    src_pt = tuple(src)
-    mid_a = _flip_coord(src_pt, a, base)
-    mid_b = _flip_coord(src_pt, b, base)
-    sink = _flip_coord(mid_a, b, base)
-    d_src, d_sink = module.dim(src_pt), module.dim(sink)
-    if d_src == 0 or d_sink == 0:
-        return True
-    path_a = _compose_via(module, F, src_pt, mid_a, sink, a, b)
-    path_b = _compose_via(module, F, src_pt, mid_b, sink, b, a)
-    return path_a == path_b
-
-
-def _flip_coord(p: Point, axis: int, base: Point) -> Point:
-    # toggle between base[axis] and base[axis]+1
-    v = base[axis] + 1 if p[axis] == base[axis] else base[axis]
-    return p[:axis] + (v,) + p[axis + 1 :]
-
-
-def _compose_via(module, F, src, mid, sink, first_axis, second_axis) -> Matrix:
-    if module.dim(mid) == 0:
-        return zeros(F, module.dim(sink), module.dim(src))
-    first = arrow_between(module, src, mid, first_axis)
-    second = arrow_between(module, mid, sink, second_axis)
-    return mat_mul(F, second, first)
+def _composite(F, second: Matrix | None, first: Matrix | None) -> Matrix | None:
+    """second . first, or None when a factor is missing or the product is zero."""
+    if first is None or second is None:
+        return None
+    prod = mat_mul(F, second, first)
+    return prod if any(map(any, prod)) else None
 
 
 def check_relations(module: QuiverModule) -> list[SquareViolation]:
     """All commutation squares whose two composites disagree."""
-    shape = module.shape
-    k = shape.arity
+    F = module.config.field
+    maps = module.maps
+    axes = module.shape.axes
+    k = len(axes)
+    plain = [ax.polarity == PLAIN for ax in axes]
     out: list[SquareViolation] = []
-    for base in shape.iter_points():
+    for base in module.shape.iter_points():
         for a in range(k):
-            if base[a] >= shape.axes[a].length:
+            if base[a] >= axes[a].length:
                 continue
+            base_a = base[:a] + (base[a] + 1,) + base[a + 1 :]
             for b in range(a + 1, k):
-                if base[b] >= shape.axes[b].length:
+                if base[b] >= axes[b].length:
                     continue
-                if not _square_commutes(module, base, a, b):
+                base_b = base[:b] + (base[b] + 1,) + base[b + 1 :]
+                # the arrows along a at the low and high b level, and along b
+                # at the low and high a level, each keyed at its lower corner
+                a_lo, a_hi = maps.get((base, a)), maps.get((base_b, a))
+                b_lo, b_hi = maps.get((base, b)), maps.get((base_a, b))
+                # the source corner is low on plain axes and high on op axes
+                via_a = _composite(F, b_hi if plain[a] else b_lo, a_lo if plain[b] else a_hi)
+                via_b = _composite(F, a_hi if plain[b] else a_lo, b_lo if plain[a] else b_hi)
+                if via_a != via_b:
                     out.append(SquareViolation(base, a, b))
     return out
 
 
 @dataclass
 class _TensorVertex:
-    """Quotient data of one result vertex of a tensor product."""
+    """Quotient data of one result vertex of a tensor product, kept only
+    when the quotient is nonzero.  Big-space index offsets[i] + r1 * d2[i] + r2
+    is the pure tensor of basis vectors r1 and r2 at shared level i (0-based)."""
 
-    d1: list[int]
+    left: list[Point]
+    right: list[Point]
     d2: list[int]
     offsets: list[int]
     bigdim: int
     rref_rows: list[list]
     pivots: list[int]
     free: list[int]
+    free_labels: list[tuple[int, int, int]]
 
-    def index(self, level: int, r1: int, r2: int) -> int:
-        return self.offsets[level - 1] + r1 * self.d2[level - 1] + r2
+
+def _level_fibers(module: QuiverModule, axis: int, L: int) -> dict[Point, tuple[list, list]]:
+    """Vertex and dimension at every level along the axis, for each nonzero
+    fiber, keyed by the vertex with the axis dropped, in sorted order."""
+    dims = module.dims
+    out = {}
+    for rest in sorted({p[:axis] + p[axis + 1 :] for p in dims}):
+        keys = [rest[:axis] + (c,) + rest[axis:] for c in range(1, L + 1)]
+        out[rest] = (keys, [dims.get(p, 0) for p in keys])
+    return out
 
 
 def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverModule:
@@ -226,113 +227,89 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
         raise ValueError(f"right axis {a2} must be op, got {ax2.polarity}")
     if m1.config != m2.config:
         raise ValueError(f"field mismatch: {m1.config} vs {m2.config}")
-    F = m1.config.field()
+    if m1.shape.arity + m2.shape.arity == 2:
+        raise ValueError(f"contracting axis {a1} against axis {a2} leaves no axis")
+    F = m1.config.field
     L = ax1.length
     k1 = m1.shape.arity - 1
     out_shape = Shape(
         m1.shape.axes[:a1] + m1.shape.axes[a1 + 1 :] + m2.shape.axes[:a2] + m2.shape.axes[a2 + 1 :]
     )
+    maps1, maps2 = m1.maps, m2.maps
 
-    def left_vertex(u: Point, c: int) -> Point:
-        return u[:a1] + (c,) + u[a1:]
-
-    def right_vertex(w: Point, c: int) -> Point:
-        return w[:a2] + (c,) + w[a2:]
-
+    # result vertices x = u + w in lexicographic order, skipping those where a factor is zero
+    fibers = itertools.product(_level_fibers(m1, a1, L).items(), _level_fibers(m2, a2, L).items())
     verts: dict[Point, _TensorVertex] = {}
     dims: dict[Point, int] = {}
-    for x in out_shape.iter_points():
-        u, w = x[:k1], x[k1:]
-        d1 = [m1.dim(left_vertex(u, c)) for c in range(1, L + 1)]
-        d2 = [m2.dim(right_vertex(w, c)) for c in range(1, L + 1)]
+    for (u, (left, d1)), (w, (right, d2)) in fibers:
+        x = u + w
         offsets, total = [], 0
-        for c in range(L):
+        for e1, e2 in zip(d1, d2):
             offsets.append(total)
-            total += d1[c] * d2[c]
+            total += e1 * e2
+        if not total:
+            continue
         rows: list[list] = []
-        for c in range(1, L):
-            if d1[c - 1] == 0 or d2[c] == 0:
-                continue  # no pure tensors x (x) y at this level
-            A = (
-                arrow_between(m1, left_vertex(u, c), left_vertex(u, c + 1), a1)
-                if d1[c] > 0
-                else None
-            )
-            B = (
-                arrow_between(m2, right_vertex(w, c + 1), right_vertex(w, c), a2)
-                if d2[c - 1] > 0
-                else None
-            )
-            for b1 in range(d1[c - 1]):
-                for b2 in range(d2[c]):
-                    row = [F.zero] * total
+        for i in range(L - 1):
+            if not d1[i] or not d2[i + 1]:
+                continue  # no pure tensors x (x) y with x at level i, y at i + 1
+            A = maps1.get((left[i], a1))  # m1 at level i -> level i + 1
+            B = maps2.get((right[i], a2))  # m2 at level i + 1 -> level i
+            for b1 in range(d1[i]):
+                for b2 in range(d2[i + 1]):
+                    row = [0] * total
                     if A is not None:
-                        for t in range(d1[c]):
-                            row[offsets[c] + t * d2[c] + b2] = A[t][b1]
+                        for t, arow in enumerate(A):
+                            row[offsets[i + 1] + t * d2[i + 1] + b2] = arow[b1]
                     if B is not None:
-                        for t in range(d2[c - 1]):
-                            idx = offsets[c - 1] + b1 * d2[c - 1] + t
-                            row[idx] = F.sub(row[idx], B[t][b2])
-                    if any(not F.is_zero(v) for v in row):
+                        start = offsets[i] + b1 * d2[i]
+                        for t, brow in enumerate(B):
+                            row[start + t] = -brow[b2]
+                    if any(row):
                         rows.append(row)
-        red, pivots = rref(F, rows)
+        red, pivots = rref(F, rows) if rows else ([], [])
         pivot_set = set(pivots)
-        free = [c for c in range(total) if c not in pivot_set]
-        verts[x] = _TensorVertex(d1, d2, offsets, total, red, pivots, free)
-        if free:
-            dims[x] = len(free)
+        free = [f for f in range(total) if f not in pivot_set]
+        if not free:
+            continue
+        labels = [(i, r1, r2) for i in range(L) for r1 in range(d1[i]) for r2 in range(d2[i])]
+        free_labels = [labels[f] for f in free]
+        verts[x] = _TensorVertex(left, right, d2, offsets, total, red, pivots, free, free_labels)
+        dims[x] = len(free)
 
     maps: dict[tuple[Point, int], Matrix] = {}
-    for x in out_shape.iter_points():
-        for t in range(out_shape.arity):
-            if x[t] >= out_shape.axes[t].length:
+    for x, vx in verts.items():
+        for t, ax in enumerate(out_shape.axes):
+            if x[t] >= ax.length:
                 continue
-            src, dst = _arrow_endpoints(out_shape, x, t)
-            vs, vd = verts[src], verts[dst]
-            if not vs.free or not vd.free:
+            y = x[:t] + (x[t] + 1,) + x[t + 1 :]
+            vy = verts.get(y)
+            if vy is None:
                 continue
-            big = _big_arrow(m1, m2, a1, a2, k1, src, dst, t, vs, vd, F, left_vertex, right_vertex)
+            vs, vd = (vx, vy) if ax.polarity == PLAIN else (vy, vx)
+            on_left = t < k1
+            if on_left:  # the m1 arrow at every shared level, keyed at x
+                orig = t if t < a1 else t + 1
+                level_maps = [maps1.get((p, orig)) for p in vx.left]
+            else:
+                orig = t - k1 if t - k1 < a2 else t - k1 + 1
+                level_maps = [maps2.get((p, orig)) for p in vx.right]
             cols = []
-            for f in vs.free:
-                img = [big[r][f] for r in range(vd.bigdim)]
+            for i, r1, r2 in vs.free_labels:
+                img = [0] * vd.bigdim
+                mat = level_maps[i]
+                if mat is not None:
+                    if on_left:  # r1 (x) r2 -> sum_r mat[r][r1] r (x) r2
+                        start, stride, q = vd.offsets[i] + r2, vd.d2[i], r1
+                    else:  # r1 (x) r2 -> sum_r mat[r][r2] r1 (x) r
+                        start, stride, q = vd.offsets[i] + r1 * vd.d2[i], 1, r2
+                    for r, mrow in enumerate(mat):
+                        img[start + r * stride] = mrow[q]
                 red = reduce_mod_rows(F, img, vd.rref_rows, vd.pivots)
                 cols.append([red[g] for g in vd.free])
-            maps[(x, t)] = [[cols[c][r] for c in range(len(cols))] for r in range(len(vd.free))]
+            maps[(x, t)] = [list(row) for row in zip(*cols)]
 
     return QuiverModule(out_shape, m1.config, dims, maps)
-
-
-def _big_arrow(m1, m2, a1, a2, k1, src, dst, t, vs, vd, F, left_vertex, right_vertex) -> Matrix:
-    """Blockwise action of one result arrow on the pre-quotient spaces."""
-    L = len(vs.d1)
-    big = zeros(F, vd.bigdim, vs.bigdim)
-    if t < k1:
-        orig = t if t < a1 else t + 1
-        u_src, u_dst = src[:k1], dst[:k1]
-        for c in range(1, L + 1):
-            if vs.d1[c - 1] == 0 or vd.d1[c - 1] == 0 or vs.d2[c - 1] == 0:
-                continue
-            C = arrow_between(m1, left_vertex(u_src, c), left_vertex(u_dst, c), orig)
-            for r in range(vd.d1[c - 1]):
-                for q in range(vs.d1[c - 1]):
-                    if F.is_zero(C[r][q]):
-                        continue
-                    for s2 in range(vs.d2[c - 1]):
-                        big[vd.index(c, r, s2)][vs.index(c, q, s2)] = C[r][q]
-    else:
-        orig = t - k1 if t - k1 < a2 else t - k1 + 1
-        w_src, w_dst = src[k1:], dst[k1:]
-        for c in range(1, L + 1):
-            if vs.d2[c - 1] == 0 or vd.d2[c - 1] == 0 or vs.d1[c - 1] == 0:
-                continue
-            D = arrow_between(m2, right_vertex(w_src, c), right_vertex(w_dst, c), orig)
-            for r in range(vd.d2[c - 1]):
-                for q in range(vs.d2[c - 1]):
-                    if F.is_zero(D[r][q]):
-                        continue
-                    for s1 in range(vs.d1[c - 1]):
-                        big[vd.index(c, s1, r)][vs.index(c, s1, q)] = D[r][q]
-    return big
 
 
 def dimension_vector(module: QuiverModule) -> K0Vector:
@@ -354,7 +331,8 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
     for p in module.shape.iter_points():
         if module.dim(p) != (1 if p in support.point_set else 0):
             return False
-    F = module.config.field()
+    F = module.config.field
+    norm = F.norm
 
     edges: dict[Point, list[tuple[Point, Point, Point, object]]] = {p: [] for p in support.points}
     for p in support.points:
@@ -364,8 +342,8 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
                 continue
             src, dst = _arrow_endpoints(module.shape, p, a)
             mat = module.maps.get((p, a))
-            scalar = mat[0][0] if mat else F.zero
-            if F.is_zero(scalar):
+            scalar = norm(mat[0][0]) if mat else 0
+            if not scalar:
                 return False
             edges[p].append((q, src, dst, scalar))
             edges[q].append((p, src, dst, scalar))
@@ -374,21 +352,21 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
     for root in support.points:
         if root in scale:
             continue
-        scale[root] = F.one
+        scale[root] = 1
         stack = [root]
         while stack:
             x = stack.pop()
             for y, src, dst, lam in edges[x]:
                 if y in scale:
                     # non-forest edge: the rescaled scalar must come out one
-                    if F.mul(lam, scale[src]) != scale[dst]:
+                    if norm(lam * scale[src]) != scale[dst]:
                         return False
                     continue
                 # forest edge: choose the scale making the arrow one
                 if y == dst:
-                    scale[y] = F.mul(lam, scale[x])
+                    scale[y] = norm(lam * scale[x])
                 else:
-                    scale[y] = F.mul(F.inv(lam), scale[x])
+                    scale[y] = norm(F.inv(lam) * scale[x])
                 stack.append(y)
     return True
 

@@ -218,6 +218,8 @@ def contract(s1: Support, a1: int, s2: Support, a2: int) -> Support:
         raise ValueError(f"left contraction axis {a1} must be plain, got {ax1.polarity}")
     if ax2.polarity != OP:
         raise ValueError(f"right contraction axis {a2} must be op, got {ax2.polarity}")
+    if s1.shape.arity + s2.shape.arity == 2:
+        raise ValueError(f"contracting axis {a1} against axis {a2} leaves no axis")
     f1 = _fibers_along(s1, a1)
     f2 = _fibers_along(s2, a2)
     _require_closed(f1, ax1.length, UPWARD, f"left support, axis {a1}")

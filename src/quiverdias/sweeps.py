@@ -7,6 +7,7 @@ count, so files are reproducible.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -98,8 +99,15 @@ def run_task(task: Task) -> Report:
         raise ValueError(f"unknown verifier {name!r}")
     if "field" in params:
         params = dict(params)
-        params["config"] = FieldConfig(params.pop("field"), params.pop("q"))
+        params["config"] = _field_config(params.pop("field"), params.pop("q"))
     return verifier(**params)
+
+
+@functools.lru_cache(maxsize=16)
+def _field_config(kind: str, q: int) -> FieldConfig:
+    # one config per field and process: it checks primality once and keeps
+    # its field object across the sweep's tasks
+    return FieldConfig(kind, q)
 
 
 # Parameter domains, each in canonical (lexicographic) order.

@@ -1,5 +1,6 @@
 """Command line surface: support rendering, verify sweeps, roundtrip."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -117,6 +118,17 @@ def test_verify_deterministic_across_runs(tmp_path):
     main(["verify", "--suite", "oracle", "--max", "2", "--out", str(d1)])
     main(["verify", "--suite", "oracle", "--max", "2", "--out", str(d2)])
     assert (d1 / "verify-oracle.jsonl").read_bytes() == (d2 / "verify-oracle.jsonl").read_bytes()
+
+
+def test_oracle_report_bytes_are_pinned(tmp_path):
+    # the k=3 oracle sweep, 378 checks over GF(32003) and over Q; the hash is
+    # the one the benchmark pins for its oracle-k3 workload
+    assert main(["verify", "--suite", "oracle", "--max", "3", "--oracle-max", "3",
+                 "--out", str(tmp_path)]) == 0
+    assert (
+        hashlib.sha256((tmp_path / "verify-oracle.jsonl").read_bytes()).hexdigest()
+        == "f4afe9a49591bbcae13e0cc1813edc6c0b74cc31df0479f475e576437b065b06"
+    )
 
 
 def test_verify_env_var_out_dir(tmp_path, monkeypatch, capsys):

@@ -101,6 +101,32 @@ def test_scaled_square_violates_relations():
     assert violations[0].base == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "polarities",
+    [pols for k in (2, 3) for pols in itertools.product(("plain", OP), repeat=k)],
+    ids=lambda pols: "-".join(pols),
+)
+def test_scaled_arrow_breaks_exactly_its_squares(polarities):
+    shape = Shape(tuple(Axis(2, pol) for pol in polarities))
+    full = make_support(shape, shape.iter_points())
+    k = shape.arity
+    for base, axis in indicator_module(full, PRIME_CFG).maps:
+        mod = indicator_module(full, PRIME_CFG)
+        mod.maps[(base, axis)] = [[2]]
+        # in a box of side 2 the arrow lies in one square per other axis b,
+        # whose lowest corner is the arrow's base with coordinate b set to 1
+        expected = sorted(
+            (base[:b] + (1,) + base[b + 1 :], min(axis, b), max(axis, b))
+            for b in range(k)
+            if b != axis
+        )
+        got = [(v.base, v.axis_a, v.axis_b) for v in check_relations(mod)]
+        assert got == expected, (base, axis)
+        # an unreduced scalar equal to one breaks nothing
+        mod.maps[(base, axis)] = [[1 + PRIME_CFG.q]]
+        assert check_relations(mod) == []
+
+
 def test_validate_standard_agrees_with_relations_exhaustively():
     # every subset of every small box, over every polarity combination
     shapes = [
@@ -169,6 +195,29 @@ def test_tensor_with_interior_contraction_axes():
         predicted = contract(pj, 0, right, 1)
         assert iso_to_standard(tens, predicted)
         assert check_relations(tens) == []
+
+
+def test_tensor_of_rescaled_rational_module():
+    # arrow scalars 3/7 and 2 instead of ones: isomorphic to the standard module
+    pj = interval_support(3, "projective", 1)
+    left = standard_module(pj, RAT_CFG)
+    left.maps[((1,), 0)] = [[Fraction(3, 7)]]
+    left.maps[((2,), 0)] = [[2]]
+    s = s_support(2, 1, 2)
+    tens = tensor_over(left, 0, standard_module(s, RAT_CFG), 0)
+    assert check_relations(tens) == []
+    assert iso_to_standard(tens, contract(pj, 0, s, 0))
+    entries = [v for mat in tens.maps.values() for row in mat for v in row]
+    assert any(type(v) is Fraction for v in entries)
+    # rational entries are ints while integral
+    assert all(type(v) is int or v.denominator != 1 for v in entries)
+
+
+def test_tensor_refuses_to_leave_no_axis():
+    left = standard_module(interval_support(3, "projective", 1), PRIME_CFG)
+    right = standard_module(make_support(Shape((Axis(3, OP),)), [(1,), (2,)]), PRIME_CFG)
+    with pytest.raises(ValueError, match="contracting axis 0 against axis 0 leaves no axis"):
+        tensor_over(left, 0, right, 0)
 
 
 def test_tensor_length_mismatch():

@@ -113,6 +113,17 @@ def test_run_task_dispatch():
         run_task(("frobnicate", {}))
 
 
+def test_run_task_shares_field_config(monkeypatch):
+    # one config per (kind, q) per process: primality is checked once and the
+    # field object is built once
+    monkeypatch.setitem(sweeps._VERIFIERS, "oracle_unit", lambda config, **params: config)
+    a = run_task(("oracle_unit", {"m": 2, "n": 1, "i": 1, "field": "prime", "q": 32003}))
+    b = run_task(("oracle_unit", {"m": 3, "n": 2, "i": 2, "field": "prime", "q": 32003}))
+    c = run_task(("oracle_unit", {"m": 2, "n": 1, "i": 1, "field": "rational", "q": 32003}))
+    assert a is b and a.field is b.field
+    assert c is not a and c.kind == "rational"
+
+
 def test_oracle_tasks_run_both_fields():
     tasks = build_tasks(SweepConfig(suite="oracle", max_m=2))
     fields = {t[1]["field"] for t in tasks}

@@ -351,6 +351,13 @@ def test_invalid_permutation():
         permute_axes(n_support(2), (0, 0))
 
 
+def test_contract_refuses_to_leave_no_axis():
+    left = interval_support(3, "projective", 1)
+    right = make_support(Shape((Axis(3, OP),)), [(1,), (2,)])
+    with pytest.raises(ValueError, match="contracting axis 0 against axis 0 leaves no axis"):
+        contract(left, 0, right, 0)
+
+
 # --- property tests ---------------------------------------------------------
 
 
