@@ -9,7 +9,10 @@ reporting witness points on any disagreement.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
+
+import numpy as np
 
 from .reports import Report, compare_supports
 from .supports import (
@@ -22,10 +25,11 @@ from .supports import (
     Support,
     contract,
     fiber_reversal,
-    make_support,
     permute_axes,
 )
 
+# a predicate takes one coordinate per axis, as ints or as broadcasting integer
+# arrays, so clauses are written with & | and np.where, not and / or / if
 Predicate = Callable[..., bool]
 
 
@@ -34,8 +38,12 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _from_predicate(shape: Shape, member: Predicate) -> Support:
-    return Support(shape, tuple(p for p in shape.iter_points() if member(*p)))
+def _from_predicate(shape: Shape, *clauses: Predicate) -> Support:
+    """The box points satisfying any of the clauses, each evaluated once on
+    the 1-based coordinate grids of the box."""
+    grids = [g + 1 for g in np.indices(shape.lengths, sparse=True)]
+    mask = functools.reduce(np.logical_or, (member(*grids) for member in clauses))
+    return Support(shape, np.broadcast_to(mask, shape.lengths))
 
 
 def triple_shape(m: int, n: int) -> Shape:
@@ -43,21 +51,19 @@ def triple_shape(m: int, n: int) -> Shape:
     return Shape((Axis(m + n - 1, OP), Axis(m), Axis(n)))
 
 
+@functools.lru_cache(maxsize=1024)
 def s_support(m: int, i: int, n: int) -> Support:
     """Slot-insertion support on [(m+n-1)-op, m, n].
 
     A triple (g, mu, nu) belongs to it when g <= mu below slot i, when
-    g <= i+nu-1 on the slot itself, and when g <= mu+n-1 above it.
+    g <= i+nu-1 on the slot itself, and when g <= mu+n-1 above it.  Cached:
+    a Support is immutable, so callers share one object per argument triple.
     """
     _require(1 <= i <= m, f"need 1 <= i <= m, got i={i}, m={m}")
     _require(n >= 1, f"need n >= 1, got n={n}")
 
-    def member(g: int, mu: int, nu: int) -> bool:
-        if mu <= i - 1:
-            return g <= mu
-        if mu == i:
-            return g <= i + nu - 1
-        return g <= mu + n - 1
+    def member(g, mu, nu):
+        return np.where(mu <= i - 1, g <= mu, np.where(mu == i, g <= i + nu - 1, g <= mu + n - 1))
 
     return _from_predicate(triple_shape(m, n), member)
 
@@ -65,10 +71,10 @@ def s_support(m: int, i: int, n: int) -> Support:
 def s_support_alt_clauses(m: int, i: int, n: int) -> list[Predicate]:
     """The four clauses of the equivalent description, split by g-range."""
     return [
-        lambda g, mu, nu: g <= i and g <= mu,
-        lambda g, mu, nu: i + 1 <= g <= i + n - 1 and g <= i + nu - 1 and i <= mu,
-        lambda g, mu, nu: i + 1 <= g <= i + n - 1 and i + nu <= g and i + 1 <= mu,
-        lambda g, mu, nu: i + n <= g and g - n + 1 <= mu,
+        lambda g, mu, nu: (g <= i) & (g <= mu),
+        lambda g, mu, nu: (i + 1 <= g) & (g <= i + n - 1) & (g <= i + nu - 1) & (i <= mu),
+        lambda g, mu, nu: (i + 1 <= g) & (g <= i + n - 1) & (i + nu <= g) & (i + 1 <= mu),
+        lambda g, mu, nu: (i + n <= g) & (g - n + 1 <= mu),
     ]
 
 
@@ -76,8 +82,7 @@ def s_support_alt(m: int, i: int, n: int) -> Support:
     """Same set as s_support, built from the alternative clause system."""
     _require(1 <= i <= m, f"need 1 <= i <= m, got i={i}, m={m}")
     _require(n >= 1, f"need n >= 1, got n={n}")
-    clauses = s_support_alt_clauses(m, i, n)
-    return _from_predicate(triple_shape(m, n), lambda *p: any(c(*p) for c in clauses))
+    return _from_predicate(triple_shape(m, n), *s_support_alt_clauses(m, i, n))
 
 
 def n_support(n: int) -> Support:
@@ -97,7 +102,6 @@ def regular_support(m: int) -> Support:
 def interval_support(n: int, kind: str, j: int) -> Support:
     """Projective [j, n], injective [1, j] or simple {j} support on a plain line."""
     _require(1 <= j <= n, f"need 1 <= j <= n, got j={j}, n={n}")
-    shape = Shape((Axis(n),))
     if kind == "projective":
         lo, hi = j, n
     elif kind == "injective":
@@ -106,7 +110,9 @@ def interval_support(n: int, kind: str, j: int) -> Support:
         lo, hi = j, j
     else:
         raise ValueError(f"kind must be projective, injective or simple, got {kind!r}")
-    return make_support(shape, [(v,) for v in range(lo, hi + 1)])
+    mask = np.zeros(n, dtype=bool)
+    mask[lo - 1 : hi] = True
+    return Support(Shape((Axis(n),)), mask)
 
 
 def quad_shape(m: int, n: int, p: int) -> Shape:
@@ -116,11 +122,11 @@ def quad_shape(m: int, n: int, p: int) -> Shape:
 def commutativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predicate]:
     """The five mu-disjoint clauses predicted for parallel composition."""
     return [
-        lambda g, mu, nu, pi: mu <= i - 1 and g <= mu,
-        lambda g, mu, nu, pi: mu == i and g <= i + nu - 1,
-        lambda g, mu, nu, pi: i + 1 <= mu <= j - 1 and g <= mu + n - 1,
-        lambda g, mu, nu, pi: mu == j and g <= j + n + pi - 2,
-        lambda g, mu, nu, pi: j + 1 <= mu and g <= mu + n + p - 2,
+        lambda g, mu, nu, pi: (mu <= i - 1) & (g <= mu),
+        lambda g, mu, nu, pi: (mu == i) & (g <= i + nu - 1),
+        lambda g, mu, nu, pi: (i + 1 <= mu) & (mu <= j - 1) & (g <= mu + n - 1),
+        lambda g, mu, nu, pi: (mu == j) & (g <= j + n + pi - 2),
+        lambda g, mu, nu, pi: (j + 1 <= mu) & (g <= mu + n + p - 2),
     ]
 
 
@@ -128,17 +134,16 @@ def reference_commutativity_set(m: int, n: int, p: int, i: int, j: int) -> Suppo
     """Expected support of both parallel compositions, on axes (g, mu, nu, pi)."""
     _require(1 <= i < j <= m, f"need 1 <= i < j <= m, got i={i}, j={j}, m={m}")
     _require(n >= 1 and p >= 1, f"need n, p >= 1, got n={n}, p={p}")
-    clauses = commutativity_clauses(m, n, p, i, j)
-    return _from_predicate(quad_shape(m, n, p), lambda *q: any(c(*q) for c in clauses))
+    return _from_predicate(quad_shape(m, n, p), *commutativity_clauses(m, n, p, i, j))
 
 
 def associativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predicate]:
     return [
-        lambda g, mu, nu, pi: mu <= i - 1 and g <= mu,
-        lambda g, mu, nu, pi: mu == i and nu <= j - 1 and g <= i + nu - 1,
-        lambda g, mu, nu, pi: mu == i and nu == j and g <= i + j + pi - 2,
-        lambda g, mu, nu, pi: mu == i and j + 1 <= nu and g <= i + nu + p - 2,
-        lambda g, mu, nu, pi: i + 1 <= mu and g <= mu + n + p - 2,
+        lambda g, mu, nu, pi: (mu <= i - 1) & (g <= mu),
+        lambda g, mu, nu, pi: (mu == i) & (nu <= j - 1) & (g <= i + nu - 1),
+        lambda g, mu, nu, pi: (mu == i) & (nu == j) & (g <= i + j + pi - 2),
+        lambda g, mu, nu, pi: (mu == i) & (j + 1 <= nu) & (g <= i + nu + p - 2),
+        lambda g, mu, nu, pi: (i + 1 <= mu) & (g <= mu + n + p - 2),
     ]
 
 
@@ -147,8 +152,7 @@ def reference_associativity_set(m: int, n: int, p: int, i: int, j: int) -> Suppo
     _require(1 <= i <= m, f"need 1 <= i <= m, got i={i}, m={m}")
     _require(1 <= j <= n, f"need 1 <= j <= n, got j={j}, n={n}")
     _require(p >= 1, f"need p >= 1, got p={p}")
-    clauses = associativity_clauses(m, n, p, i, j)
-    return _from_predicate(quad_shape(m, n, p), lambda *q: any(c(*q) for c in clauses))
+    return _from_predicate(quad_shape(m, n, p), *associativity_clauses(m, n, p, i, j))
 
 
 def verify_commutativity(m: int, n: int, p: int, i: int, j: int) -> Report:
@@ -199,7 +203,7 @@ def border_reversal_reference(m: int, n: int) -> Support:
     """Displayed form of the op-axis reversal of s_support(m, 1, n)."""
     return _from_predicate(
         triple_shape(m, n),
-        lambda g, mu, nu: (mu == 1 and g >= nu) or g >= mu + n - 1,
+        lambda g, mu, nu: ((mu == 1) & (g >= nu)) | (g >= mu + n - 1),
     )
 
 
@@ -211,7 +215,7 @@ def border_intermediate_reference(m: int, n: int) -> Support:
     """
     return _from_predicate(
         triple_shape(n, m),
-        lambda g, a, b: (b == 1 and g <= a) or (a == n and g >= n + b - 1),
+        lambda g, a, b: ((b == 1) & (g <= a)) | ((a == n) & (g >= n + b - 1)),
     )
 
 
@@ -241,24 +245,20 @@ def verify_border(m: int, n: int) -> Report:
 
 def inner_reversal_reference(m: int, n: int, i: int) -> Support:
     """Displayed form of the op-axis reversal of s_support(m, i, n)."""
-    def member(g: int, mu: int, nu: int) -> bool:
-        if mu <= i - 1:
-            return g >= mu
-        if mu == i:
-            return g >= i + nu - 1
-        return g >= mu + n - 1
+    def member(g, mu, nu):
+        return np.where(mu <= i - 1, g >= mu, np.where(mu == i, g >= i + nu - 1, g >= mu + n - 1))
 
     return _from_predicate(triple_shape(m, n), member)
 
 
 def inner_shift_reference(m: int, n: int, i: int) -> Support:
     """Displayed length-m reversal of s_support(m, i-1, n)."""
-    def member(g: int, mu: int, nu: int) -> bool:
+    def member(g, mu, nu):
         return (
-            (g <= i - 1 and g >= mu)
-            or (i <= g <= i + n - 2 and g <= i + nu - 2 and mu <= i - 1)
-            or (i <= g <= i + n - 2 and g >= i + nu - 1 and mu <= i)
-            or (g >= i + n - 1 and mu <= g - n + 1)
+            ((g <= i - 1) & (g >= mu))
+            | ((i <= g) & (g <= i + n - 2) & (g <= i + nu - 2) & (mu <= i - 1))
+            | ((i <= g) & (g <= i + n - 2) & (g >= i + nu - 1) & (mu <= i))
+            | ((g >= i + n - 1) & (mu <= g - n + 1))
         )
 
     return _from_predicate(triple_shape(m, n), member)

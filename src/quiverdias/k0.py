@@ -158,14 +158,7 @@ def k0_class(support: Support) -> K0Vector:
     for k, ax in enumerate(support.shape.axes):
         if ax.polarity != PLAIN:
             raise ValueError(f"op axis present at position {k}; classes live over plain axes")
-    lengths = support.shape.lengths
-    values = np.zeros(_basis_size(lengths), dtype=np.int64)
-    for p in support.points:
-        idx = 0
-        for c, length in zip(p, lengths):
-            idx = idx * length + (c - 1)
-        values[idx] = 1
-    return K0Vector(lengths, values)
+    return K0Vector(support.shape.lengths, support.mask.ravel())
 
 
 def nabla_k0(m: int, i: int, n: int) -> K0Map:

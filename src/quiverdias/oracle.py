@@ -217,6 +217,9 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
     x.arrow (x) y - x (x) arrow.y are eliminated exactly, and arrow maps are
     induced on the chosen complements.
     """
+    for side, module, axis in (("left", m1, a1), ("right", m2, a2)):
+        if not 0 <= axis < module.shape.arity:
+            raise ValueError(f"{side} axis index {axis} out of range for {module.shape.arity} axes")
     ax1 = m1.shape.axes[a1]
     ax2 = m2.shape.axes[a2]
     if ax1.length != ax2.length:

@@ -10,6 +10,8 @@ slot-insertion modules.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .supports import Support
 
 FILLED = "#"
@@ -26,50 +28,32 @@ def _axis_label(support: Support) -> str:
     )
 
 
-def render_ascii(support: Support) -> str:
+def _grids(support: Support) -> tuple[str, list[tuple[str | None, np.ndarray]]]:
+    """The caption and the (label, grid) pictures of a support; a grid is a
+    boolean matrix indexed [row, column]."""
     k = support.shape.arity
     if k == 2:
-        return _ascii_2(support)
+        return "axis 1 top to bottom, axis 2 left to right", [(None, support.mask)]
     if k == 3:
-        return _ascii_3(support)
+        l3 = support.shape.lengths[2]
+        slices = [(f"slice {v}/{l3}", support.mask[:, :, v - 1].T) for v in range(1, l3 + 1)]
+        return "axis 1 left to right, axis 2 top to bottom, one slice per axis-3 value", slices
     raise ValueError(f"can only render 2- or 3-axis supports, got {k} axes")
 
 
-def _ascii_2(support: Support) -> str:
-    l1, l2 = support.shape.lengths
-    lines = [f"axes: {_axis_label(support)}; axis 1 top to bottom, axis 2 left to right"]
-    for a in range(1, l1 + 1):
-        lines.append(" ".join(FILLED if (a, b) in support.point_set else EMPTY for b in range(1, l2 + 1)))
-    return "\n".join(lines) + "\n"
-
-
-def _ascii_3(support: Support) -> str:
-    l1, l2, l3 = support.shape.lengths
-    lines = [f"axes: {_axis_label(support)}; axis 1 left to right, axis 2 top to bottom, one slice per axis-3 value"]
-    for v in range(1, l3 + 1):
-        lines.append(f"slice {v}/{l3}")
-        for mu in range(1, l2 + 1):
-            lines.append(
-                " ".join(FILLED if (g, mu, v) in support.point_set else EMPTY for g in range(1, l1 + 1))
-            )
+def render_ascii(support: Support) -> str:
+    caption, grids = _grids(support)
+    lines = [f"axes: {_axis_label(support)}; {caption}"]
+    for label, grid in grids:
+        if label is not None:
+            lines.append(label)
+        lines += [" ".join(FILLED if cell else EMPTY for cell in row) for row in grid.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def render_svg(support: Support) -> str:
-    k = support.shape.arity
-    if k == 2:
-        grids = [(None, [(b, a) for (a, b) in support.points])]
-        cols, rows = support.shape.lengths[1], support.shape.lengths[0]
-    elif k == 3:
-        l3 = support.shape.lengths[2]
-        grids = [
-            (f"slice {v}/{l3}", [(g, mu) for (g, mu, w) in support.points if w == v])
-            for v in range(1, l3 + 1)
-        ]
-        cols, rows = support.shape.lengths[0], support.shape.lengths[1]
-    else:
-        raise ValueError(f"can only render 2- or 3-axis supports, got {k} axes")
-
+    grids = _grids(support)[1]
+    rows, cols = grids[0][1].shape
     width = cols * CELL + 2 * CELL
     slice_h = rows * CELL + GAP
     height = len(grids) * slice_h + CELL
@@ -79,14 +63,14 @@ def render_svg(support: Support) -> str:
         f'<desc>support on {_axis_label(support)}</desc>',
     ]
     y0 = CELL
-    for label, cells in grids:
+    for label, grid in grids:
         if label is not None:
             parts.append(f'<text x="{CELL}" y="{y0 - 4}" font-size="12">{label}</text>')
         parts.append(
             f'<rect x="{CELL}" y="{y0}" width="{cols * CELL}" height="{rows * CELL}" '
             f'fill="none" stroke="#999"/>'
         )
-        for cx, cy in sorted(cells):
+        for cx, cy in (np.argwhere(grid.T) + 1).tolist():
             x = CELL + (cx - 1) * CELL
             y = y0 + (cy - 1) * CELL
             parts.append(

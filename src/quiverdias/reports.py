@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .supports import Support
 
@@ -47,23 +49,19 @@ class Report:
 def compare_supports(check: str, left: Support, right: Support) -> list[Witness]:
     """Witnesses for the symmetric difference of two supports.
 
-    A shape mismatch is reported as a single witness rather than raising, so
+    Witnesses come in lexicographic order of their points.  A shape
+    mismatch is reported as a single witness rather than raising, so
     verifiers always produce a report.
     """
     if left.shape != right.shape:
         return [Witness(check, (), f"shape mismatch: {left.shape} vs {right.shape}")]
-    out = [
-        Witness(check, p, "left only")
-        for p in left.points
-        if p not in right.point_set
+    differ = left.mask ^ right.mask
+    if not differ.any():
+        return []
+    return [
+        Witness(check, tuple(p), "left only" if on_left else "right only")
+        for p, on_left in zip((np.argwhere(differ) + 1).tolist(), left.mask[differ].tolist())
     ]
-    out += [
-        Witness(check, p, "right only")
-        for p in right.points
-        if p not in left.point_set
-    ]
-    out.sort(key=lambda w: w.where)
-    return out
 
 
 @dataclass

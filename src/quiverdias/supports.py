@@ -2,11 +2,11 @@
 
 A Shape is an ordered tuple of axes; each axis is the vertex line of the
 linear quiver 1 -> 2 -> ... -> L, with ascending arrows ("plain" polarity)
-or descending arrows ("op").  A Support is a finite set of lattice points in
-the box of a Shape, kept in canonical (lexicographically sorted,
-duplicate-free) order.  It stands for the multiplicity-free module whose
-spaces are one-dimensional on the support, with identity maps between
-adjacent support points, so every operation here is pure set combinatorics.
+or descending arrows ("op").  A Support is a set of lattice points in the
+box of a Shape, held as a read-only boolean array over the box.  It stands
+for the multiplicity-free module whose spaces are one-dimensional on the
+support, with identity maps between adjacent support points, so every
+operation here is whole-array boolean combinatorics.
 
 All values are immutable and all functions are pure; they can be shared and
 evaluated in parallel without coordination.
@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 PLAIN = "plain"
 OP = "op"
@@ -81,28 +83,45 @@ class Shape:
         return itertools.product(*(range(1, ax.length + 1) for ax in self.axes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Support:
-    """Canonical point set inside the box of a shape.
-
-    The points tuple is sorted and duplicate-free; two supports are equal
-    exactly when their shapes and point lists are equal.  Build through
-    make_support unless the input is already canonical.
-    """
+    """Point set inside the box of a shape: the read-only bool mask, a copy of
+    the one given, has mask[c1 - 1, ..., ck - 1] set when (c1, ..., ck) is in
+    it.  points (sorted), point_set and size derive from the mask.  Build
+    from a point collection through make_support."""
 
     shape: Shape
-    points: tuple[Point, ...]
+    mask: np.ndarray
+
+    def __post_init__(self) -> None:
+        mask = np.array(self.mask, dtype=bool)
+        if mask.shape != self.shape.lengths:
+            raise ValueError(f"mask of shape {mask.shape} does not fit the box {self.shape.lengths}")
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(tuple, (np.argwhere(self.mask) + 1).tolist()))
 
     @cached_property
     def point_set(self) -> frozenset[Point]:
         return frozenset(self.points)
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return len(self.points)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, point: Point) -> bool:
         return point in self.point_set
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Support):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.mask, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.mask.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -128,7 +147,7 @@ def make_support(shape: Shape, points: Iterable[Sequence[int]]) -> Support:
     Rejects points of the wrong arity and points outside the box, naming
     the offending coordinate.
     """
-    seen: set[Point] = set()
+    pts: list[Point] = []
     for raw in points:
         p = tuple(raw)
         if len(p) != shape.arity:
@@ -138,8 +157,11 @@ def make_support(shape: Shape, points: Iterable[Sequence[int]]) -> Support:
                 raise ValueError(
                     f"point {p}: coordinate {k + 1} = {c} is outside [1, {ax.length}]"
                 )
-        seen.add(p)
-    return Support(shape, tuple(sorted(seen)))
+        pts.append(p)
+    mask = np.zeros(shape.lengths, dtype=bool)
+    if pts:
+        mask[tuple(np.array(pts).T - 1)] = True
+    return Support(shape, mask)
 
 
 def validate_standard(support: Support) -> list[SquareViolation]:
@@ -150,22 +172,26 @@ def validate_standard(support: Support) -> list[SquareViolation]:
     x+e_a+e_b commutes on the indicator module iff, whenever x and the sink
     both carry a line, the two intermediate corners are both present or
     both absent.  An empty result means the indicator module satisfies all
-    commutation relations.
+    commutation relations; violations come sorted by (base, axis_a, axis_b).
     """
-    pts = support.point_set
-    steps = [ax.step for ax in support.shape.axes]
-    k = support.shape.arity
+    axes = support.shape.axes
+    # op axes read backwards, so that every arrow steps one index up
+    mask = support.mask[tuple(slice(None, None, ax.step) for ax in axes)]
     violations: list[SquareViolation] = []
-    for x in support.points:
-        for a in range(k):
-            xa = _bump(x, a, steps[a])
-            for b in range(a + 1, k):
-                xab = _bump(xa, b, steps[b])
-                if xab not in pts:
-                    continue
-                xb = _bump(x, b, steps[b])
-                if (xa in pts) != (xb in pts):
-                    violations.append(SquareViolation(x, a, b))
+    for a, b in itertools.combinations(range(mask.ndim), 2):
+        def corner(da: int, db: int) -> np.ndarray:
+            idx = [slice(None)] * mask.ndim
+            idx[a] = slice(da, mask.shape[a] - 1 + da)
+            idx[b] = slice(db, mask.shape[b] - 1 + db)
+            return mask[tuple(idx)]
+
+        broken = corner(0, 0) & corner(1, 1) & (corner(1, 0) ^ corner(0, 1))
+        if broken.any():
+            hits = np.argwhere(broken)
+            op = [ax.polarity == OP for ax in axes]
+            bases = np.where(op, np.subtract(support.shape.lengths, hits), hits + 1)
+            violations += [SquareViolation(tuple(base), a, b) for base in bases.tolist()]
+    violations.sort(key=lambda v: (v.base, v.axis_a, v.axis_b))
     return violations
 
 
@@ -180,20 +206,20 @@ def closure_check(support: Support, axis: int, sense: str) -> bool:
     """
     ax = _axis_at(support.shape, axis)
     sense = _resolve_sense(ax, sense)
-    return _first_unclosed(_fibers_along(support, axis), ax.length, sense) is None
+    return _first_unclosed(_fiber_matrix(support.mask, axis), sense) is None
 
 
 def fiber(support: Support, axis: int, rest: Sequence[int]) -> set[int]:
     """The coordinates j such that rest with j spliced in at axis is in the support."""
-    _axis_at(support.shape, axis)
-    others = support.shape.axes[:axis] + support.shape.axes[axis + 1 :]
+    top = _axis_at(support.shape, axis).length
+    others = _drop_axis(support.shape, axis)
     r = tuple(rest)
     if len(r) != len(others):
         raise ValueError(f"rest {r} has arity {len(r)}, expected {len(others)}")
     for k, (c, ax) in enumerate(zip(r, others)):
         if not 1 <= c <= ax.length:
             raise ValueError(f"rest {r}: coordinate {k + 1} = {c} is outside [1, {ax.length}]")
-    return {p[axis] for p in support.points if _drop(p, axis) == r}
+    return {j for j in range(1, top + 1) if r[:axis] + (j,) + r[axis:] in support}
 
 
 def contract(s1: Support, a1: int, s2: Support, a2: int) -> Support:
@@ -220,18 +246,16 @@ def contract(s1: Support, a1: int, s2: Support, a2: int) -> Support:
         raise ValueError(f"right contraction axis {a2} must be op, got {ax2.polarity}")
     if s1.shape.arity + s2.shape.arity == 2:
         raise ValueError(f"contracting axis {a1} against axis {a2} leaves no axis")
-    f1 = _fibers_along(s1, a1)
-    f2 = _fibers_along(s2, a2)
-    _require_closed(f1, ax1.length, UPWARD, f"left support, axis {a1}")
-    _require_closed(f2, ax2.length, DOWNWARD, f"right support, axis {a2}")
+    f1 = _fiber_matrix(s1.mask, a1)
+    f2 = _fiber_matrix(s2.mask, a2)
+    _require_closed(f1, s1.shape, a1, UPWARD, f"left support, axis {a1}")
+    _require_closed(f2, s2.shape, a2, DOWNWARD, f"right support, axis {a2}")
     new_shape = Shape(_drop_axis(s1.shape, a1) + _drop_axis(s2.shape, a2))
-    pts = [
-        r1 + r2
-        for r1, g1 in f1.items()
-        for r2, g2 in f2.items()
-        if g1 & g2
-    ]
-    return Support(new_shape, tuple(sorted(pts)))
+    # relational composition: the product of the 0/1 fiber matrices counts
+    # the shared c; float32 sums of nonnegative terms never come back to
+    # zero, so "> 0" is exact at every axis length (uint8 wraps at 256)
+    hits = np.matmul(f1, f2.T, dtype=np.float32) > 0
+    return Support(new_shape, hits.reshape(new_shape.lengths))
 
 
 def fiber_reversal(support: Support, axis: int, mode: str) -> Support:
@@ -247,14 +271,19 @@ def fiber_reversal(support: Support, axis: int, mode: str) -> Support:
     ax = _axis_at(support.shape, axis)
     if mode not in (PREDECESSOR, SUCCESSOR):
         raise ValueError(f"mode must be {PREDECESSOR!r} or {SUCCESSOR!r}, got {mode!r}")
-    top = ax.length
-    fibers = _fibers_along(support, axis)
-    _require_closed(fibers, top, UPWARD if mode == PREDECESSOR else DOWNWARD, f"axis {axis}")
-    out: list[Point] = []
-    for rest, vals in fibers.items():
-        rng = range(1, min(vals) + 1) if mode == PREDECESSOR else range(max(vals), top + 1)
-        out.extend(rest[:axis] + (v,) + rest[axis:] for v in rng)
-    return Support(support.shape, tuple(sorted(out)))
+    fibers = _fiber_matrix(support.mask, axis)
+    sense = UPWARD if mode == PREDECESSOR else DOWNWARD
+    _require_closed(fibers, support.shape, axis, sense, f"axis {axis}")
+    # [t, L] -> [1, t]: c <= t exactly when c - 1 is outside the fiber, and a
+    # nonempty fiber holds L; successor mode is the same read backwards
+    step = 1 if mode == PREDECESSOR else -1
+    fibers = fibers[:, ::step]
+    out = np.ones_like(fibers)
+    out[:, 1:] = ~fibers[:, :-1]
+    out &= fibers[:, -1:]
+    lengths = support.shape.lengths
+    out = out[:, ::step].reshape(lengths[:axis] + lengths[axis + 1 :] + (ax.length,))
+    return Support(support.shape, np.moveaxis(out, -1, axis))
 
 
 def permute_axes(support: Support, perm: Sequence[int]) -> Support:
@@ -263,8 +292,7 @@ def permute_axes(support: Support, perm: Sequence[int]) -> Support:
     if sorted(p) != list(range(support.shape.arity)):
         raise ValueError(f"{p} is not a permutation of 0..{support.shape.arity - 1}")
     new_shape = Shape(tuple(support.shape.axes[q] for q in p))
-    pts = sorted(tuple(pt[q] for q in p) for pt in support.points)
-    return Support(new_shape, tuple(pts))
+    return Support(new_shape, support.mask.transpose(p))
 
 
 def _axis_at(shape: Shape, axis: int) -> Axis:
@@ -285,36 +313,29 @@ def _resolve_sense(ax: Axis, sense: str) -> str:
     )
 
 
-def _first_unclosed(fibers: dict[Point, set[int]], top: int, sense: str) -> Point | None:
-    """The first fiber that is not [t, top] (upward) or [1, t] (downward), if any."""
-    if sense == UPWARD:
-        bad = (rest for rest, vals in fibers.items() if len(vals) != top - min(vals) + 1)
-    else:
-        bad = (rest for rest, vals in fibers.items() if len(vals) != max(vals))
-    return next(bad, None)
+def _fiber_matrix(mask: np.ndarray, axis: int) -> np.ndarray:
+    """The mask as an (R, L) matrix, a row per fiber along the axis, rows in lexicographic order."""
+    order = tuple(k for k in range(mask.ndim) if k != axis) + (axis,)
+    return mask.transpose(order).reshape(-1, mask.shape[axis])
 
 
-def _require_closed(fibers: dict[Point, set[int]], top: int, sense: str, where: str) -> None:
-    rest = _first_unclosed(fibers, top, sense)
-    if rest is not None:
-        raise ClosureError(
-            f"{where}: fiber at {rest} is not {sense}-closed: {sorted(fibers[rest])}"
-        )
+def _first_unclosed(fibers: np.ndarray, sense: str) -> int | None:
+    """Row of the first fiber that is not [t, L] (upward) or [1, t] (downward),
+    if any: an upward-closed row never drops from set to unset."""
+    lo, hi = fibers[:, :-1], fibers[:, 1:]
+    broken = lo > hi if sense == UPWARD else lo < hi
+    if not broken.any():
+        return None
+    return int(broken.any(axis=1).argmax())
 
 
-def _fibers_along(support: Support, axis: int) -> dict[Point, set[int]]:
-    fibers: dict[Point, set[int]] = {}
-    for p in support.points:
-        fibers.setdefault(_drop(p, axis), set()).add(p[axis])
-    return fibers
-
-
-def _drop(t: Point, i: int) -> Point:
-    return t[:i] + t[i + 1 :]
-
-
-def _bump(t: Point, i: int, d: int) -> Point:
-    return t[:i] + (t[i] + d,) + t[i + 1 :]
+def _require_closed(fibers: np.ndarray, shape: Shape, axis: int, sense: str, where: str) -> None:
+    row = _first_unclosed(fibers, sense)
+    if row is not None:
+        rest = np.unravel_index(row, shape.lengths[:axis] + shape.lengths[axis + 1 :])
+        at = tuple(int(c) + 1 for c in rest)
+        vals = (np.flatnonzero(fibers[row]) + 1).tolist()
+        raise ClosureError(f"{where}: fiber at {at} is not {sense}-closed: {vals}")
 
 
 def _drop_axis(shape: Shape, i: int) -> tuple[Axis, ...]:

@@ -131,6 +131,19 @@ def test_oracle_report_bytes_are_pinned(tmp_path):
     )
 
 
+def test_support_report_bytes_are_pinned(tmp_path):
+    # the support and class layers at the sizes the benchmark runs; the hashes
+    # are the ones it pins for its cooperad-m4 and anticyclic-m7 workloads
+    pinned = {
+        "cooperad": ("4", "27d3375934127a1b7314052c72b40cddbc807c66b6beb5588bab4b8a26646c48"),
+        "anticyclic": ("7", "3eb2b81123d0c746bdcfe998773ab75c563d637aabce9f069084949388f12214"),
+    }
+    for suite, (max_m, digest) in pinned.items():
+        assert main(["verify", "--suite", suite, "--max", max_m, "--out", str(tmp_path)]) == 0
+        report = tmp_path / f"verify-{suite}.jsonl"
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 def test_verify_env_var_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QUIVERDIAS_OUT", str(tmp_path))
     assert main(["verify", "--suite", "anticyclic", "--max", "2"]) == 0

@@ -1,7 +1,9 @@
 """Support families and the four identity verifiers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import quiverdias.families as families
 from quiverdias.families import (
     associativity_clauses,
     border_intermediate_reference,
@@ -21,11 +23,13 @@ from quiverdias.families import (
     verify_commutativity,
     verify_inner,
 )
+from quiverdias.reports import Witness
 from quiverdias.supports import (
     OP,
     PREDECESSOR,
     SUCCESSOR,
     Axis,
+    Support,
     closure_check,
     fiber_reversal,
     permute_axes,
@@ -278,3 +282,81 @@ def test_report_invariant_pass_iff_no_witnesses():
 
 def test_shape_helper():
     assert triple_shape(2, 3).lengths == (4, 2, 3)
+
+
+# --- seeded defects -------------------------------------------------------------
+
+
+@st.composite
+def parallel_params(draw):
+    m = draw(st.integers(2, 4))
+    i = draw(st.integers(1, m - 1))
+    return (m, draw(st.integers(1, 3)), draw(st.integers(1, 3)), i, draw(st.integers(i + 1, m)))
+
+
+@st.composite
+def nested_params(draw):
+    m, n, p = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return (m, n, p, draw(st.integers(1, m)), draw(st.integers(1, n)))
+
+
+@st.composite
+def inner_params(draw):
+    m = draw(st.integers(2, 4))
+    return (m, draw(st.integers(1, 4)), draw(st.integers(2, m)))
+
+
+# verifier, its parameters, and per reference clause set (called with the
+# verifier's parameters) the checks that compare against it as right-hand side
+SEEDED = {
+    "commutativity": (
+        verify_commutativity,
+        parallel_params(),
+        {"reference_commutativity_set": ("left_vs_reference", "right_vs_reference")},
+    ),
+    "associativity": (
+        verify_associativity,
+        nested_params(),
+        {"reference_associativity_set": ("left_vs_reference", "right_vs_reference")},
+    ),
+    "border": (
+        verify_border,
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        {
+            "border_reversal_reference": ("left_vs_displayed",),
+            "border_intermediate_reference": ("intermediate_vs_displayed",),
+        },
+    ),
+    "inner": (
+        verify_inner,
+        inner_params(),
+        {
+            "inner_reversal_reference": ("left_vs_displayed",),
+            "inner_shift_reference": ("right_vs_displayed",),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("verifier_name", sorted(SEEDED))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_seeded_defect_is_named(verifier_name, data):
+    # flip one point of one reference clause set: the verifier must fail and
+    # name exactly that point, "left only" when the flip dropped it from the
+    # reference and "right only" when it added it
+    verifier, params, references = SEEDED[verifier_name]
+    args = data.draw(params)
+    name = data.draw(st.sampled_from(sorted(references)))
+    reference = getattr(families, name)(*args)
+    point = data.draw(st.sampled_from(list(reference.shape.iter_points())))
+    mask = reference.mask.copy()
+    index = tuple(c - 1 for c in point)
+    mask[index] = not mask[index]
+    seeded = Support(reference.shape, mask)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, name, lambda *a: seeded)
+        report = verifier(*args)
+    detail = "left only" if point in reference else "right only"
+    assert not report.passed
+    assert report.witnesses == [Witness(check, point, detail) for check in references[name]]

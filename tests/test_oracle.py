@@ -220,6 +220,25 @@ def test_tensor_refuses_to_leave_no_axis():
         tensor_over(left, 0, right, 0)
 
 
+def test_tensor_refuses_axis_past_the_end():
+    left = standard_module(regular_support(3), PRIME_CFG)
+    right = standard_module(s_support(2, 1, 2), PRIME_CFG)
+    with pytest.raises(ValueError, match="left axis index 2 out of range for 2 axes"):
+        tensor_over(left, 2, right, 0)
+    with pytest.raises(ValueError, match="right axis index 3 out of range for 3 axes"):
+        tensor_over(left, 1, right, 3)
+
+
+def test_tensor_refuses_negative_axis():
+    # -1 used to select the last axis and return a 5-axis module
+    left = standard_module(regular_support(3), PRIME_CFG)
+    right = standard_module(s_support(2, 1, 2), PRIME_CFG)
+    with pytest.raises(ValueError, match="left axis index -1 out of range for 2 axes"):
+        tensor_over(left, -1, right, 0)
+    with pytest.raises(ValueError, match="right axis index -3 out of range for 3 axes"):
+        tensor_over(left, 1, right, -3)
+
+
 def test_tensor_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         tensor_over(
