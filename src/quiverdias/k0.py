@@ -14,14 +14,15 @@ category, not one per factor).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .families import interval_support, s_support
+from .families import s_support
 from .reports import Report, Witness
-from .supports import PLAIN, Support, contract
+from .supports import PLAIN, Axis, Shape, Support, contract
 
 BasisDesc = tuple[int, ...]
 
@@ -53,7 +54,9 @@ class K0Vector:
 
 @dataclass
 class K0Map:
-    """Integer matrix between simple-class bases, with basis descriptors."""
+    """Integer matrix between simple-class bases, with basis descriptors.
+    The matrix is a private read-only copy of the one given, so a map can
+    be shared, as the caches of nabla_k0, nu_k0 and tau_k0 share theirs."""
 
     source: BasisDesc
     target: BasisDesc
@@ -62,7 +65,8 @@ class K0Map:
     def __post_init__(self) -> None:
         self.source = tuple(self.source)
         self.target = tuple(self.target)
-        self.matrix = np.asarray(self.matrix, dtype=np.int64)
+        self.matrix = np.array(self.matrix, dtype=np.int64)
+        self.matrix.flags.writeable = False
         expected = (_basis_size(self.target), _basis_size(self.source))
         if self.matrix.shape != expected:
             raise ValueError(f"matrix of shape {self.matrix.shape} does not fit {expected}")
@@ -161,26 +165,26 @@ def k0_class(support: Support) -> K0Vector:
     return K0Vector(support.shape.lengths, support.mask.ravel())
 
 
+@functools.lru_cache(maxsize=1024)
 def nabla_k0(m: int, i: int, n: int) -> K0Map:
     """Matrix of the slot-insertion functor on classes.
 
     Column j is the class of the image of the j-th simple, computed from
     the images of projectives via the two-term resolution
-    S_j = P_j - P_{j+1} (with P_{m+n} = 0).
+    S_j = P_j - P_{j+1} (with P_{m+n} = 0).  The projectives [j, m+n-1]
+    are stacked along a leading plain index axis, so one contraction with
+    s_support(m, i, n) gives their images as the rows of its mask.  Cached:
+    callers share one map per argument triple.
     """
     if not 1 <= i <= m:
         raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     big = m + n - 1
-    support = s_support(m, i, n)
-    proj = [
-        k0_class(contract(interval_support(big, "projective", j), 0, support, 0)).values
-        for j in range(1, big + 1)
-    ]
-    proj.append(np.zeros(m * n, dtype=np.int64))
-    cols = [proj[j] - proj[j + 1] for j in range(big)]
-    return K0Map((big,), (m, n), np.column_stack(cols))
+    # row j - 1 of the mask is the projective [j, big]: set where j <= c
+    stacked = Support(Shape((Axis(big), Axis(big))), np.triu(np.ones((big, big), dtype=bool)))
+    proj = contract(stacked, 1, s_support(m, i, n), 0).mask.reshape(big, m * n).astype(np.int64)
+    return K0Map((big,), (m, n), -np.diff(proj, axis=0, append=0).T)
 
 
 def dias_compose(m: int, i: int, n: int, j: int, k: int) -> int:
@@ -253,9 +257,10 @@ def duality_check(m: int, i: int, n: int) -> Report:
     )
 
 
+@functools.lru_cache(maxsize=1024)
 def nu_k0(n: int) -> K0Map:
     """The unique integer matrix sending each projective class to the
-    matching injective class, in the simple basis."""
+    matching injective class, in the simple basis.  Cached, like nabla_k0."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     proj = np.zeros((n, n), dtype=np.int64)
@@ -270,8 +275,10 @@ def nu_k0(n: int) -> K0Map:
     return K0Map((n,), (n,), inj @ proj_inv)
 
 
+@functools.lru_cache(maxsize=1024)
 def tau_k0(n: int) -> K0Map:
-    """Translation on classes: minus the Nakayama matrix (shift sign -1)."""
+    """Translation on classes: minus the Nakayama matrix (shift sign -1).
+    Cached, like nu_k0."""
     return nu_k0(n).scaled(-1)
 
 
@@ -344,9 +351,18 @@ def verify_inner_k0(m: int, n: int, i: int) -> Report:
     )
 
 
+@functools.lru_cache(maxsize=1024)
+def _compose_table(m: int, i: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """dias_compose(m, i, n, j, k) at [j - 1][k - 1]; cached per process."""
+    return tuple(
+        tuple([dias_compose(m, i, n, j, k) for k in range(1, n + 1)]) for j in range(1, m + 1)
+    )
+
+
 def dias_operad_axiom_check(m: int, n: int, p: int, i: int, j: int) -> Report:
     """Brute-force the parallel and nested composition axioms on all basis
     elements, for whichever of the two the slot pair (i, j) legally selects.
+    Both sides are read from tables of dias_compose.
 
     Parallel (needs i < j <= m):
         (e_a o_j e_c) o_i e_b = (e_a o_i e_b) o_{j+n-1} e_c.
@@ -364,26 +380,29 @@ def dias_operad_axiom_check(m: int, n: int, p: int, i: int, j: int) -> Report:
             f"slots i={i}, j={j} select neither the parallel (i<j<=m) nor the "
             f"nested (i<=m, j<=n) axiom for m={m}, n={n}"
         )
+    first = _compose_table(m, i, n)
+    if parallel:
+        p_in, p_out = _compose_table(m, j, p), _compose_table(m + p - 1, i, n)
+        p_after = _compose_table(m + n - 1, j + n - 1, p)
+    if nested:
+        n_in, n_out = _compose_table(n, j, p), _compose_table(m, i, n + p - 1)
+        n_after = _compose_table(m + n - 1, i + j - 1, p)
     witnesses: list[Witness] = []
-    parallel_checks = 0
-    nested_checks = 0
-    for a in range(1, m + 1):
-        for b in range(1, n + 1):
-            for c in range(1, p + 1):
+    for a in range(m):
+        for b in range(n):
+            ab = first[a][b] - 1  # e_a o_i e_b, both right sides start there
+            for c in range(p):
                 if parallel:
-                    parallel_checks += 1
-                    lhs = dias_compose(m + p - 1, i, n, dias_compose(m, j, p, a, c), b)
-                    rhs = dias_compose(m + n - 1, j + n - 1, p, dias_compose(m, i, n, a, b), c)
+                    lhs, rhs = p_out[p_in[a][c] - 1][b], p_after[ab][c]
                     if lhs != rhs:
-                        witnesses.append(Witness("parallel", (a, b, c), f"{lhs} vs {rhs}"))
+                        witnesses.append(Witness("parallel", (a + 1, b + 1, c + 1), f"{lhs} vs {rhs}"))
                 if nested:
-                    nested_checks += 1
-                    lhs = dias_compose(m, i, n + p - 1, a, dias_compose(n, j, p, b, c))
-                    rhs = dias_compose(m + n - 1, i + j - 1, p, dias_compose(m, i, n, a, b), c)
+                    lhs, rhs = n_out[a][n_in[b][c] - 1], n_after[ab][c]
                     if lhs != rhs:
-                        witnesses.append(Witness("nested", (a, b, c), f"{lhs} vs {rhs}"))
+                        witnesses.append(Witness("nested", (a + 1, b + 1, c + 1), f"{lhs} vs {rhs}"))
+    checks = m * n * p
     params = {"m": m, "n": n, "p": p, "i": i, "j": j}
-    return Report("dias_axioms", params, parallel_checks, nested_checks, witnesses)
+    return Report("dias_axioms", params, checks if parallel else 0, checks if nested else 0, witnesses)
 
 
 def dias_tau(n: int) -> K0Map:

@@ -43,7 +43,7 @@ class SweepConfig:
             raise ValueError(f"max m must be positive, got {self.max_m}")
         for name, v in (("max n", self.max_n), ("max p", self.max_p), ("oracle max", self.oracle_max)):
             if v < 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+                raise ValueError(f"{name} must be nonnegative (0: default), got {v}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
         self.field_config()  # validates the field kind and the modulus

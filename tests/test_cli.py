@@ -132,13 +132,15 @@ def test_oracle_report_bytes_are_pinned(tmp_path):
 
 
 def test_support_report_bytes_are_pinned(tmp_path):
-    # the support and class layers at the sizes the benchmark runs; the hashes
-    # are the ones it pins for its cooperad-m4 and anticyclic-m7 workloads
-    pinned = {
-        "cooperad": ("4", "27d3375934127a1b7314052c72b40cddbc807c66b6beb5588bab4b8a26646c48"),
-        "anticyclic": ("7", "3eb2b81123d0c746bdcfe998773ab75c563d637aabce9f069084949388f12214"),
-    }
-    for suite, (max_m, digest) in pinned.items():
+    # the support and class layers at the sizes the benchmark runs (the hashes
+    # it pins for its cooperad-m4 and anticyclic-m7 workloads), and the class
+    # layer at --max 10, where nabla_k0 contracts over 19 stacked projectives
+    pinned = [
+        ("cooperad", "4", "27d3375934127a1b7314052c72b40cddbc807c66b6beb5588bab4b8a26646c48"),
+        ("anticyclic", "7", "3eb2b81123d0c746bdcfe998773ab75c563d637aabce9f069084949388f12214"),
+        ("anticyclic", "10", "db5bea7973eb128fdda5146ed12a7627eb38de4e6a06eab89097f900f0766aa5"),
+    ]
+    for suite, max_m, digest in pinned:
         assert main(["verify", "--suite", suite, "--max", max_m, "--out", str(tmp_path)]) == 0
         report = tmp_path / f"verify-{suite}.jsonl"
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
@@ -173,6 +175,16 @@ def test_verify_config_error_exit_2(capsys):
     assert "oracle max" in capsys.readouterr().err
     assert main(["verify", "--max", "0"]) == 2
     assert main(["verify", "--field", "prime", "--prime", "10", "--max", "2"]) == 2
+
+
+def test_verify_negative_bound_exit_2(capsys, tmp_path):
+    for flag, name in (("--max-n", "max n"), ("--max-p", "max p"), ("--oracle-max", "oracle max")):
+        assert main(["verify", "--max", "2", flag, "-1", "--out", str(tmp_path)]) == 2
+        assert f"{name} must be nonnegative (0: default), got -1" in capsys.readouterr().err
+    # 0 is the default: same as --max
+    assert main(["verify", "--suite", "anticyclic", "--max", "2", "--max-n", "0",
+                 "--out", str(tmp_path)]) == 0
+    assert "all passed" in capsys.readouterr().out
 
 
 def test_verify_huge_prime_refused_exit_2(capsys):

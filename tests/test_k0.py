@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quiverdias import k0
 from quiverdias.families import interval_support, s_support
 from quiverdias.k0 import (
     DiasElement,
@@ -24,7 +25,20 @@ from quiverdias.k0 import (
     verify_border_k0,
     verify_inner_k0,
 )
-from quiverdias.supports import OP, Axis, Shape, contract, make_support
+from quiverdias.reports import Witness
+from quiverdias.supports import OP, Axis, Shape, Support, contract, make_support
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the per-process caches of the class layer before and after the
+    test, so that no map built from a perturbed input outlives it."""
+    caches = (nabla_k0, nu_k0, tau_k0, k0._compose_table)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
 
 
 def unit(m, n, a, b):
@@ -135,6 +149,78 @@ def test_nabla_column_shape_invariants():
                         assert col.sum() <= n and set(col) <= {0, 1}
                     else:
                         assert col.sum() == 1
+
+
+def per_projective_nabla(m, i, n):
+    """nabla_k0 one projective at a time: the image of each [j, m+n-1] by its
+    own contraction, and column j the difference P_j - P_{j+1}."""
+    big = m + n - 1
+    proj = [
+        k0_class(contract(interval_support(big, "projective", j), 0, s_support(m, i, n), 0)).values
+        for j in range(1, big + 1)
+    ] + [np.zeros(m * n, dtype=np.int64)]
+    return K0Map((big,), (m, n), np.column_stack([proj[j] - proj[j + 1] for j in range(big)]))
+
+
+def test_nabla_matches_per_projective_reference():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for i in range(1, m + 1):
+                assert nabla_k0(m, i, n) == per_projective_nabla(m, i, n)
+
+
+@pytest.mark.parametrize(
+    "build, args", [(nabla_k0, (3, 2, 3)), (nabla_k0, (1, 1, 1)), (nu_k0, (4,)), (tau_k0, (4,))]
+)
+def test_class_maps_are_shared_and_read_only(build, args):
+    mp = build(*args)
+    assert build(*args) is mp
+    with pytest.raises(ValueError, match="read-only"):
+        mp.matrix[0, 0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        mp.matrix += 1
+
+
+def drop_fiber_top(support, mu, nu):
+    """The support with the top point of its op-axis fiber [1, t] at (mu, nu)
+    removed, which leaves the fiber downward-closed; returns it and t."""
+    mask = support.mask.copy()
+    t = int(mask[:, mu - 1, nu - 1].sum())
+    mask[t - 1, mu - 1, nu - 1] = False
+    return Support(support.shape, mask), t
+
+
+def seeded_duality(monkeypatch, m, i, n, mu, nu):
+    seeded, t = drop_fiber_top(s_support(m, i, n), mu, nu)
+    nabla_k0.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(k0, "s_support", lambda *args: seeded if args == (m, i, n) else s_support(*args))
+        report = duality_check(m, i, n)
+    nabla_k0.cache_clear()
+    return report, t
+
+
+def test_seeded_class_defect_is_named(monkeypatch, fresh_caches):
+    # P_t loses (mu, nu), so the simple columns t - 1 and t change at row r
+    # (0-based columns t - 2 and t - 1); for t = 1 only column 1 does
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for i in range(1, m + 1):
+                for mu in range(1, m + 1):
+                    for nu in range(1, n + 1):
+                        report, t = seeded_duality(monkeypatch, m, i, n, mu, nu)
+                        r = (mu - 1) * n + nu - 1
+                        expected = [Witness("transpose_vs_compose", (0, r), "0 vs 1")]
+                        if t > 1:
+                            expected = [
+                                Witness("transpose_vs_compose", (t - 2, r), "1 vs 0"),
+                                Witness("transpose_vs_compose", (t - 1, r), "0 vs 1"),
+                            ]
+                        assert not report.passed
+                        assert report.witnesses == expected, (m, i, n, mu, nu)
+    report, _ = seeded_duality(monkeypatch, 3, 2, 3, 2, 2)
+    assert [w.where for w in report.witnesses] == [(1, 4), (2, 4)]
+    assert duality_check(3, 2, 3).passed
 
 
 # --- dias_compose and duality ---------------------------------------------------
@@ -314,6 +400,71 @@ def test_dias_axiom_sweep():
                     for j in range(1, max(m, n) + 1):
                         if i < j <= m or j <= n:
                             assert dias_operad_axiom_check(m, n, p, i, j).passed
+
+
+def looped_axiom_witnesses(m, n, p, i, j):
+    """The axioms triple by triple with a call of k0.dias_compose per
+    composition, parallel before nested at each (a, b, c)."""
+    compose = k0.dias_compose
+    parallel, nested = i < j <= m, i <= m and 1 <= j <= n
+    witnesses = []
+    for a in range(1, m + 1):
+        for b in range(1, n + 1):
+            for c in range(1, p + 1):
+                if parallel:
+                    lhs = compose(m + p - 1, i, n, compose(m, j, p, a, c), b)
+                    rhs = compose(m + n - 1, j + n - 1, p, compose(m, i, n, a, b), c)
+                    if lhs != rhs:
+                        witnesses.append(Witness("parallel", (a, b, c), f"{lhs} vs {rhs}"))
+                if nested:
+                    lhs = compose(m, i, n + p - 1, a, compose(n, j, p, b, c))
+                    rhs = compose(m + n - 1, i + j - 1, p, compose(m, i, n, a, b), c)
+                    if lhs != rhs:
+                        witnesses.append(Witness("nested", (a, b, c), f"{lhs} vs {rhs}"))
+    return witnesses
+
+
+def axiom_slots(bound):
+    return [
+        (m, n, p, i, j)
+        for m in range(1, bound + 1)
+        for n in range(1, bound + 1)
+        for p in range(1, bound + 1)
+        for i in range(1, m + 1)
+        for j in range(1, max(m, n) + 1)
+        if i < j <= m or j <= n
+    ]
+
+
+def test_dias_axiom_counts():
+    for m, n, p, i, j in axiom_slots(3):
+        report = dias_operad_axiom_check(m, n, p, i, j)
+        assert report.left_size == (m * n * p if i < j <= m else 0)
+        assert report.right_size == (m * n * p if j <= n else 0)
+
+
+# one composition (m, i, n, j, k) sent to another basis element of arity m + n - 1
+SEEDED_COMPOSITIONS = [(2, 1, 2, 1, 1), (2, 1, 2, 2, 2), (3, 2, 2, 2, 1), (2, 2, 3, 1, 3)]
+
+
+@pytest.mark.parametrize("seed", SEEDED_COMPOSITIONS)
+def test_seeded_composition_defect_keeps_witness_order(monkeypatch, fresh_caches, seed):
+    compose = dias_compose
+
+    def seeded(m, i, n, j, k):
+        value = compose(m, i, n, j, k)
+        if (m, i, n, j, k) == seed:
+            return value % (m + n - 1) + 1
+        return value
+
+    monkeypatch.setattr(k0, "dias_compose", seeded)
+    k0._compose_table.cache_clear()
+    failed = 0
+    for slots in axiom_slots(3):
+        report = dias_operad_axiom_check(*slots)
+        assert report.witnesses == looped_axiom_witnesses(*slots), slots
+        failed += not report.passed
+    assert failed > 0
 
 
 # --- basis bookkeeping ----------------------------------------------------------------
