@@ -6,9 +6,9 @@ Subcommands:
   verify     run verification sweeps and write a line-delimited report file
   roundtrip  parse a support document and re-emit it canonically
 
-Exit codes: 0 success, 1 a verified identity failed, 2 bad parameters or
-unreadable input.  The default output directory for verify comes from
-QUIVERDIAS_OUT when set.
+Exit codes: 0 success, 1 a verified identity failed, 2 bad parameters
+(sizes too large to allocate included) or unreadable input.  The default
+output directory for verify comes from QUIVERDIAS_OUT when set.
 """
 
 from __future__ import annotations
@@ -138,6 +138,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # parameters too large to allocate are bad parameters, not a failed identity
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .reports import Report, compare_supports
 from .supports import (
     OP,
-    PLAIN,
     PREDECESSOR,
     SUCCESSOR,
     Axis,

@@ -32,27 +32,6 @@ def _basis_size(desc: BasisDesc) -> int:
 
 
 @dataclass
-class K0Vector:
-    """Integer vector in the simple-class basis described by axis lengths."""
-
-    basis: BasisDesc
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.basis = tuple(self.basis)
-        self.values = np.asarray(self.values, dtype=np.int64)
-        if self.values.shape != (_basis_size(self.basis),):
-            raise ValueError(f"vector of shape {self.values.shape} does not fit basis {self.basis}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, K0Vector)
-            and self.basis == other.basis
-            and np.array_equal(self.values, other.values)
-        )
-
-
-@dataclass
 class K0Map:
     """Integer matrix between simple-class bases, with basis descriptors.
     The matrix is a private read-only copy of the one given, so a map can
@@ -99,24 +78,10 @@ class K0Map:
             raise ValueError("powers need equal source and target")
         return K0Map(self.source, self.target, np.linalg.matrix_power(self.matrix, k))
 
-    def apply(self, vec: K0Vector) -> K0Vector:
-        if vec.basis != self.source:
-            raise ValueError(f"vector basis {vec.basis} != map source {self.source}")
-        return K0Vector(self.target, self.matrix @ vec.values)
-
     def is_identity(self) -> bool:
         return self.source == self.target and np.array_equal(
             self.matrix, np.eye(self.matrix.shape[0], dtype=np.int64)
         )
-
-    def to_doc(self) -> dict:
-        """Report-format serialization: nested integer rows plus the basis
-        descriptors the entries are indexed by."""
-        return {
-            "source": list(self.source),
-            "target": list(self.target),
-            "matrix": self.matrix.tolist(),
-        }
 
     def __eq__(self, other) -> bool:
         return (
@@ -127,42 +92,13 @@ class K0Map:
         )
 
 
-@dataclass
-class DiasElement:
-    """Integer combination of the rank-n basis e_1 .. e_n."""
-
-    arity: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        self.coeffs = np.asarray(self.coeffs, dtype=np.int64)
-        if self.coeffs.shape != (self.arity,):
-            raise ValueError(f"coefficients {self.coeffs.shape} do not fit arity {self.arity}")
-
-    @classmethod
-    def basis(cls, n: int, j: int) -> "DiasElement":
-        if not 1 <= j <= n:
-            raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
-        v = np.zeros(n, dtype=np.int64)
-        v[j - 1] = 1
-        return cls(n, v)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiasElement)
-            and self.arity == other.arity
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-
-def k0_class(support: Support) -> K0Vector:
-    """Indicator vector of a support on a product of plain axes."""
+def k0_class(support: Support) -> np.ndarray:
+    """Indicator vector of a support on a product of plain axes, int64 in
+    the row-major simple-class basis of its axis lengths."""
     for k, ax in enumerate(support.shape.axes):
         if ax.polarity != PLAIN:
             raise ValueError(f"op axis present at position {k}; classes live over plain axes")
-    return K0Vector(support.shape.lengths, support.mask.ravel())
+    return support.mask.ravel().astype(np.int64)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -200,21 +136,6 @@ def dias_compose(m: int, i: int, n: int, j: int, k: int) -> int:
     if i == j:
         return i + k - 1
     return j + n - 1
-
-
-def dias_compose_elements(m: int, i: int, n: int, x: DiasElement, y: DiasElement) -> DiasElement:
-    """Bilinear extension of dias_compose to integer combinations."""
-    if x.arity != m or y.arity != n:
-        raise ValueError(f"arities ({x.arity}, {y.arity}) do not match ({m}, {n})")
-    out = np.zeros(m + n - 1, dtype=np.int64)
-    for j in range(1, m + 1):
-        if x.coeffs[j - 1] == 0:
-            continue
-        for k in range(1, n + 1):
-            if y.coeffs[k - 1] == 0:
-                continue
-            out[dias_compose(m, i, n, j, k) - 1] += x.coeffs[j - 1] * y.coeffs[k - 1]
-    return DiasElement(m + n - 1, out)
 
 
 def dias_compose_matrix(m: int, i: int, n: int) -> K0Map:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .families import n_support, regular_support, s_support
-from .k0 import K0Vector
 from .linalg import Matrix, PrimeField, RationalField, mat_mul, rref, reduce_mod_rows
 from .reports import Report, Witness
 from .supports import (
@@ -102,18 +101,6 @@ def _arrow_endpoints(shape: Shape, base: Point, axis: int) -> tuple[Point, Point
     if shape.axes[axis].polarity == PLAIN:
         return base, other
     return other, base
-
-
-def arrow_between(module: QuiverModule, x: Point, y: Point, axis: int) -> Matrix:
-    """Matrix of the arrow x -> y along the axis, zeros when absent."""
-    base = x if x[axis] < y[axis] else y
-    src, dst = _arrow_endpoints(module.shape, base, axis)
-    if (src, dst) != (x, y):
-        raise ValueError(f"no arrow {x} -> {y} along axis {axis}")
-    mat = module.maps.get((base, axis))
-    if mat is None:
-        return [[0] * module.dim(x) for _ in range(module.dim(y))]
-    return mat
 
 
 def indicator_module(support: Support, config: FieldConfig = FieldConfig()) -> QuiverModule:
@@ -313,12 +300,6 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
             maps[(x, t)] = [list(row) for row in zip(*cols)]
 
     return QuiverModule(out_shape, m1.config, dims, maps)
-
-
-def dimension_vector(module: QuiverModule) -> K0Vector:
-    """Per-vertex dimensions, flattened in lexicographic vertex order."""
-    values = [module.dim(p) for p in module.shape.iter_points()]
-    return K0Vector(module.shape.lengths, values)
 
 
 def iso_to_standard(module: QuiverModule, support: Support) -> bool:

@@ -7,7 +7,6 @@ count, so files are reproducible.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -97,17 +96,7 @@ def run_task(task: Task) -> Report:
     verifier = _VERIFIERS.get(name)
     if verifier is None:
         raise ValueError(f"unknown verifier {name!r}")
-    if "field" in params:
-        params = dict(params)
-        params["config"] = _field_config(params.pop("field"), params.pop("q"))
     return verifier(**params)
-
-
-@functools.lru_cache(maxsize=16)
-def _field_config(kind: str, q: int) -> FieldConfig:
-    # one config per field and process: it checks primality once and keeps
-    # its field object across the sweep's tasks
-    return FieldConfig(kind, q)
 
 
 # Parameter domains, each in canonical (lexicographic) order.
@@ -182,7 +171,9 @@ def _oracle_tasks(k: int, config: FieldConfig) -> list[Task]:
     if config.kind != RATIONAL:
         configs.append(FieldConfig(RATIONAL))
     for cfg in configs:
-        fc = {"field": cfg.kind, "q": cfg.q}
+        # one config per field and sweep: it checked primality when built
+        # and keeps its field object across the tasks that share it
+        fc = {"config": cfg}
         tasks += [("oracle_commutativity", {**d, **fc}) for d in parallel_domain(k, k, k)]
         tasks += [("oracle_associativity", {**d, **fc}) for d in nested_domain(k, k, k)]
         for d in slot_domain(k, k, 1):

@@ -8,7 +8,6 @@ see them as they complete.
 import time
 
 import numpy as np
-import pytest
 
 from quiverdias.families import (
     interval_support,
@@ -19,7 +18,6 @@ from quiverdias.families import (
     verify_inner,
 )
 from quiverdias.k0 import (
-    dias_compose_matrix,
     dias_tau,
     duality_check,
     k0_class,
@@ -162,7 +160,7 @@ def test_criterion_7_projective_display():
                 for j in range(1, m + n):
                     got = k0_class(
                         contract(interval_support(m + n - 1, "projective", j), 0, s, 0)
-                    ).values
+                    )
                     if j <= i:
                         want = proj_class(m, n, j, 1)
                     elif j <= i + n - 1:

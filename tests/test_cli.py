@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from quiverdias import families
 from quiverdias.cli import main
 from quiverdias.families import n_support, s_support
 from quiverdias.render import render_ascii, render_svg
@@ -54,6 +55,21 @@ def test_support_bad_parameters_exit_2(capsys):
 def test_support_missing_parameter_exit_2(capsys):
     assert main(["support", "--family", "s", "--m", "2", "--n", "2"]) == 2
     assert "--i" in capsys.readouterr().err
+
+
+def test_support_too_large_to_allocate_exit_2(capsys, monkeypatch):
+    # a family too large for memory is refused like any bad parameter (exit
+    # 2, not 1, which means a failed identity); s_support is replaced by a
+    # stand-in, so nothing is allocated
+    def unallocatable(m, i, n):
+        raise MemoryError("Unable to allocate 1.82 TiB for an array")
+
+    monkeypatch.setattr(families, "s_support", unallocatable)
+    argv = ["support", "--family", "s", "--m", "1000000", "--i", "1", "--n", "1000000"]
+    assert main(argv + ["--format", "ascii"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 1.82 TiB for an array\n"
 
 
 def test_support_svg(capsys):

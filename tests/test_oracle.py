@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdias import oracle
 from quiverdias.families import interval_support, n_support, regular_support, s_support
-from quiverdias.k0 import K0Vector
 from quiverdias.oracle import (
     FieldConfig,
     check_relations,
-    dimension_vector,
     indicator_module,
     is_prime,
     iso_to_standard,
@@ -27,11 +26,13 @@ from quiverdias.supports import (
     SUCCESSOR,
     Axis,
     Shape,
+    Support,
     contract,
     fiber_reversal,
     make_support,
     validate_standard,
 )
+from quiverdias.reports import Witness
 
 PRIME_CFG = FieldConfig()
 RAT_CFG = FieldConfig("rational")
@@ -156,7 +157,7 @@ def test_tensor_unit_law():
     tens = tensor_over(
         standard_module(regular_support(3), PRIME_CFG), 1, standard_module(s, PRIME_CFG), 0
     )
-    assert dimension_vector(tens) == dimension_vector(standard_module(s, PRIME_CFG))
+    assert tens.dims == standard_module(s, PRIME_CFG).dims
     assert iso_to_standard(tens, s)
     assert check_relations(tens) == []
 
@@ -269,21 +270,6 @@ def test_tensor_polarity_checks():
         )
 
 
-# --- dimension_vector -----------------------------------------------------------
-
-
-def test_dimension_vector_of_projective():
-    mod = standard_module(interval_support(5, "projective", 2), PRIME_CFG)
-    assert dimension_vector(mod) == K0Vector((5,), [0, 1, 1, 1, 1])
-
-
-def test_dimension_vector_is_indicator():
-    s = s_support(2, 2, 2)
-    vec = dimension_vector(standard_module(s, PRIME_CFG))
-    points = list(s.shape.iter_points())
-    assert [int(v) for v in vec.values] == [1 if p in s.point_set else 0 for p in points]
-
-
 # --- iso_to_standard -------------------------------------------------------------
 
 
@@ -344,3 +330,66 @@ def test_oracle_results_field_independent():
 def test_oracle_nakayama_mu_needs_inner_slot():
     with pytest.raises(ValueError, match="i >= 2"):
         oracle_nakayama_mu_check(2, 2, 1, PRIME_CFG)
+
+
+# --- seeded defects on the support-calculus side ---------------------------------
+# The oracle certifies the predictions of contract and fiber_reversal, so a
+# prediction that gains or loses one point must be named at that point.
+
+
+def flipped(fn, index):
+    """fn with the mask entry at a 0-based index of its result flipped."""
+
+    def seeded(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        mask = result.mask.copy()
+        mask[index] = not mask[index]
+        return Support(result.shape, mask)
+
+    return seeded
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [(oracle_commutativity_check, (2, 1, 1, 1, 2)), (oracle_associativity_check, (2, 2, 1, 1, 1))],
+    ids=["commutativity", "associativity"],
+)
+def test_seeded_contract_defect_is_named(monkeypatch, check, args):
+    # both sides lose the point (1, 1, 1, 1), and each side names it once
+    monkeypatch.setattr(oracle, "contract", flipped(oracle.contract, (0, 0, 0, 0)))
+    report = check(*args, PRIME_CFG)
+    assert report.witnesses == [
+        Witness(tag, (1, 1, 1, 1), "dim 1, expected 0") for tag in ("left_dims", "right_dims")
+    ]
+
+
+@pytest.mark.parametrize(
+    "check, args, index, tag, message",
+    [
+        (oracle_nakayama_gamma_check, (2, 2, 1), (1, 0, 0), "gamma_dims", "dim 1, expected 0"),
+        (oracle_nakayama_gamma_check, (2, 2, 1), (0, 0, 1), "gamma_dims", "dim 0, expected 1"),
+        (oracle_nakayama_mu_check, (2, 2, 2), (1, 0, 0), "mu_dims", "dim 1, expected 0"),
+    ],
+    ids=["gamma-loses", "gamma-gains", "mu-loses"],
+)
+def test_seeded_fiber_reversal_defect_is_named(monkeypatch, check, args, index, tag, message):
+    monkeypatch.setattr(oracle, "fiber_reversal", flipped(oracle.fiber_reversal, index))
+    report = check(*args, PRIME_CFG)
+    assert report.witnesses == [Witness(tag, tuple(k + 1 for k in index), message)]
+
+
+def test_seeded_unit_defect_is_named(monkeypatch):
+    # the unit check compares s with itself, so seed the bimodule instead:
+    # the Nakayama triangle in place of the regular bimodule reverses s
+    monkeypatch.setattr(oracle, "regular_support", n_support)
+    m, n, i = 2, 2, 1
+    want = s_support(m, i, n).point_set
+    got = fiber_reversal(s_support(m, i, n), 0, SUCCESSOR).point_set
+    report = oracle_unit_check(m, n, i, PRIME_CFG)
+    expected = [
+        Witness("unit_dims", p, f"dim {int(p in got)}, expected {int(p in want)}")
+        for p in s_support(m, i, n).shape.iter_points()
+        if (p in got) != (p in want)
+    ]
+    assert expected
+    assert report.witnesses == expected

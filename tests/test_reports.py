@@ -7,9 +7,9 @@ import pytest
 import quiverdias.sweeps as sweeps
 
 from quiverdias.families import n_support
+from quiverdias.oracle import FieldConfig
 from quiverdias.reports import (
     Report,
-    ReportFile,
     Witness,
     compare_supports,
     read_report_file,
@@ -107,26 +107,28 @@ def test_tasks_cover_requested_suites():
 def test_run_task_dispatch():
     r = run_task(("border", {"m": 2, "n": 2}))
     assert r.verifier == "border" and r.passed
-    r = run_task(("oracle_unit", {"m": 2, "n": 1, "i": 1, "field": "prime", "q": 32003}))
+    r = run_task(("oracle_unit", {"m": 2, "n": 1, "i": 1, "config": FieldConfig("prime", 32003)}))
     assert r.verifier == "oracle_unit" and r.passed
+    assert r.params == {"m": 2, "n": 1, "i": 1, "field": "prime", "q": 32003}
     with pytest.raises(ValueError, match="unknown verifier"):
         run_task(("frobnicate", {}))
 
 
-def test_run_task_shares_field_config(monkeypatch):
-    # one config per (kind, q) per process: primality is checked once and the
-    # field object is built once
+def test_oracle_tasks_share_one_config_per_field(monkeypatch):
+    # one config per field per sweep, built with the tasks: primality is
+    # checked once, and the config's cached field object is built once
     monkeypatch.setitem(sweeps._VERIFIERS, "oracle_unit", lambda config, **params: config)
-    a = run_task(("oracle_unit", {"m": 2, "n": 1, "i": 1, "field": "prime", "q": 32003}))
-    b = run_task(("oracle_unit", {"m": 3, "n": 2, "i": 2, "field": "prime", "q": 32003}))
-    c = run_task(("oracle_unit", {"m": 2, "n": 1, "i": 1, "field": "rational", "q": 32003}))
-    assert a is b and a.field is b.field
-    assert c is not a and c.kind == "rational"
+    tasks = [t for t in build_tasks(SweepConfig(suite="oracle", max_m=2)) if t[0] == "oracle_unit"]
+    configs = [run_task(t) for t in tasks]
+    prime = [c for c in configs if c.kind == "prime"]
+    rational = [c for c in configs if c.kind == "rational"]
+    assert len(prime) == len(rational) == len(configs) // 2 > 1
+    assert all(c is prime[0] for c in prime) and all(c is rational[0] for c in rational)
 
 
 def test_oracle_tasks_run_both_fields():
     tasks = build_tasks(SweepConfig(suite="oracle", max_m=2))
-    fields = {t[1]["field"] for t in tasks}
+    fields = {t[1]["config"].kind for t in tasks}
     assert fields == {"prime", "rational"}
 
 
