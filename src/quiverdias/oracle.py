@@ -10,9 +10,13 @@ prime (default 32003).
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+
+import numpy as np
 
 from .families import n_support, regular_support, s_support
 from .linalg import Matrix, PrimeField, RationalField, mat_mul, rref, reduce_mod_rows
@@ -94,13 +98,6 @@ class QuiverModule:
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-
-def _arrow_endpoints(shape: Shape, base: Point, axis: int) -> tuple[Point, Point]:
-    other = base[:axis] + (base[axis] + 1,) + base[axis + 1 :]
-    if shape.axes[axis].polarity == PLAIN:
-        return base, other
-    return other, base
 
 
 def indicator_module(support: Support, config: FieldConfig = FieldConfig()) -> QuiverModule:
@@ -262,8 +259,10 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
         free = [f for f in range(total) if f not in pivot_set]
         if not free:
             continue
-        labels = [(i, r1, r2) for i in range(L) for r1 in range(d1[i]) for r2 in range(d2[i])]
-        free_labels = [labels[f] for f in free]
+        free_labels = []
+        for f in free:
+            i = bisect_right(offsets, f) - 1  # the last level starting at or before f
+            free_labels.append((i, *divmod(f - offsets[i], d2[i])))
         verts[x] = _TensorVertex(left, right, d2, offsets, total, red, pivots, free, free_labels)
         dims[x] = len(free)
 
@@ -278,16 +277,15 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
                 continue
             vs, vd = (vx, vy) if ax.polarity == PLAIN else (vy, vx)
             on_left = t < k1
-            if on_left:  # the m1 arrow at every shared level, keyed at x
-                orig = t if t < a1 else t + 1
-                level_maps = [maps1.get((p, orig)) for p in vx.left]
+            if on_left:  # the m1 arrow at the shared level, keyed at x
+                orig, src_maps, level_keys = (t if t < a1 else t + 1), maps1, vx.left
             else:
                 orig = t - k1 if t - k1 < a2 else t - k1 + 1
-                level_maps = [maps2.get((p, orig)) for p in vx.right]
+                src_maps, level_keys = maps2, vx.right
             cols = []
             for i, r1, r2 in vs.free_labels:
                 img = [0] * vd.bigdim
-                mat = level_maps[i]
+                mat = src_maps.get((level_keys[i], orig))
                 if mat is not None:
                     if on_left:  # r1 (x) r2 -> sum_r mat[r][r1] r (x) r2
                         start, stride, q = vd.offsets[i] + r2, vd.d2[i], r1
@@ -312,11 +310,11 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
     """
     if module.shape != support.shape:
         return False
-    for p in module.shape.iter_points():
-        if module.dim(p) != (1 if p in support.point_set else 0):
-            return False
+    if {p: d for p, d in module.dims.items() if d} != dict.fromkeys(support.points, 1):
+        return False
     F = module.config.field
     norm = F.norm
+    plain = [ax.polarity == PLAIN for ax in module.shape.axes]
 
     edges: dict[Point, list[tuple[Point, Point, Point, object]]] = {p: [] for p in support.points}
     for p in support.points:
@@ -324,7 +322,7 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
             q = p[:a] + (p[a] + 1,) + p[a + 1 :]
             if q not in support.point_set:
                 continue
-            src, dst = _arrow_endpoints(module.shape, p, a)
+            src, dst = (p, q) if plain[a] else (q, p)
             mat = module.maps.get((p, a))
             scalar = norm(mat[0][0]) if mat else 0
             if not scalar:
@@ -361,7 +359,8 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
 
 def _dims_witnesses(module: QuiverModule, expected: Support, check: str) -> list[Witness]:
     out = []
-    for p in module.shape.iter_points():
+    # a box point outside both the nonzero dims and the support agrees
+    for p in sorted({p for p, d in module.dims.items() if d} | expected.point_set):
         want = 1 if p in expected.point_set else 0
         got = module.dim(p)
         if got != want:
@@ -381,6 +380,26 @@ def _certify(module: QuiverModule, expected: Support, check: str) -> list[Witnes
     return witnesses
 
 
+def _certified_tensor(
+    s1: Support, a1: int, s2: Support, expected: Support, tag: str, config: FieldConfig
+) -> tuple[Witness, ...]:
+    """Witnesses of the tensor product of the standard modules of s1 and s2,
+    over axis a1 of s1 and the first axis of s2, against expected.
+
+    Equal inputs are certified once per process.  The key holds the
+    expected mask as bytes, not the Support, whose cached points would
+    stay alive with it.
+    """
+    return _certify_tensor(s1, a1, s2, expected.shape, expected.mask.tobytes(), tag, config)
+
+
+@functools.lru_cache(maxsize=4096)
+def _certify_tensor(s1, a1, s2, shape, mask, tag, config) -> tuple[Witness, ...]:
+    expected = Support(shape, np.frombuffer(mask, dtype=bool).reshape(shape.lengths))
+    tens = tensor_over(standard_module(s1, config), a1, standard_module(s2, config), 0)
+    return tuple(_certify(tens, expected, tag))
+
+
 def oracle_commutativity_check(
     m: int, n: int, p: int, i: int, j: int, config: FieldConfig = FieldConfig()
 ) -> Report:
@@ -391,8 +410,7 @@ def oracle_commutativity_check(
     sizes = []
     for tag, s_top, s_bot in (("left", s_top_l, s_bot_l), ("right", s_top_r, s_bot_r)):
         predicted = contract(s_top, 1, s_bot, 0)
-        tens = tensor_over(standard_module(s_top, config), 1, standard_module(s_bot, config), 0)
-        witnesses += _certify(tens, predicted, tag)
+        witnesses += _certified_tensor(s_top, 1, s_bot, predicted, tag, config)
         sizes.append(predicted.size)
     params = {"m": m, "n": n, "p": p, "i": i, "j": j, "field": config.kind, "q": config.q}
     return Report("oracle_commutativity", params, sizes[0], sizes[1], witnesses)
@@ -409,10 +427,7 @@ def oracle_associativity_check(
         ("right", s_support(m + n - 1, j + i - 1, p), 1, s_support(m, i, n)),
     ):
         predicted = contract(s_top, axis, s_bot, 0)
-        tens = tensor_over(
-            standard_module(s_top, config), axis, standard_module(s_bot, config), 0
-        )
-        witnesses += _certify(tens, predicted, tag)
+        witnesses += _certified_tensor(s_top, axis, s_bot, predicted, tag, config)
         sizes.append(predicted.size)
     params = {"m": m, "n": n, "p": p, "i": i, "j": j, "field": config.kind, "q": config.q}
     return Report("oracle_associativity", params, sizes[0], sizes[1], witnesses)
@@ -425,10 +440,7 @@ def oracle_nakayama_gamma_check(
     reversal of the op axis."""
     s = s_support(m, i, n)
     predicted = fiber_reversal(s, 0, SUCCESSOR)
-    tens = tensor_over(
-        standard_module(n_support(m + n - 1), config), 1, standard_module(s, config), 0
-    )
-    witnesses = _certify(tens, predicted, "gamma")
+    witnesses = list(_certified_tensor(n_support(m + n - 1), 1, s, predicted, "gamma", config))
     params = {"m": m, "n": n, "i": i, "field": config.kind, "q": config.q}
     return Report("oracle_nakayama_gamma", params, s.size, predicted.size, witnesses)
 
@@ -440,11 +452,10 @@ def oracle_nakayama_mu_check(m: int, n: int, i: int, config: FieldConfig = Field
         raise ValueError(f"need i >= 2, got i={i}")
     s = s_support(m, i - 1, n)
     predicted = fiber_reversal(s, 1, PREDECESSOR)
-    tens = tensor_over(standard_module(s, config), 1, standard_module(n_support(m), config), 0)
     # the result keeps (gamma, nu) from the left and regrows the plain
     # m-axis on the right, so the predicted support gets permuted to match
     predicted = permute_axes(predicted, (0, 2, 1))
-    witnesses = _certify(tens, predicted, "mu")
+    witnesses = list(_certified_tensor(s, 1, n_support(m), predicted, "mu", config))
     params = {"m": m, "n": n, "i": i, "field": config.kind, "q": config.q}
     return Report("oracle_nakayama_mu", params, s.size, predicted.size, witnesses)
 
@@ -452,9 +463,6 @@ def oracle_nakayama_mu_check(m: int, n: int, i: int, config: FieldConfig = Field
 def oracle_unit_check(m: int, n: int, i: int, config: FieldConfig = FieldConfig()) -> Report:
     """Tensoring with the regular bimodule changes nothing."""
     s = s_support(m, i, n)
-    tens = tensor_over(
-        standard_module(regular_support(m + n - 1), config), 1, standard_module(s, config), 0
-    )
-    witnesses = _certify(tens, s, "unit")
+    witnesses = list(_certified_tensor(regular_support(m + n - 1), 1, s, s, "unit", config))
     params = {"m": m, "n": n, "i": i, "field": config.kind, "q": config.q}
     return Report("oracle_unit", params, s.size, s.size, witnesses)

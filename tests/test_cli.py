@@ -122,11 +122,14 @@ def test_verify_summary_counts_match_reports(tmp_path):
 def test_verify_deterministic_across_workers(tmp_path, monkeypatch):
     # two real workers even on a one-core machine, where the pool is clamped
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    d1, d2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(["verify", "--suite", "cooperad", "--max", "2", "--out", str(d1)]) == 0
-    assert main(["verify", "--suite", "cooperad", "--max", "2", "--workers", "2",
-                 "--out", str(d2)]) == 0
-    assert (d1 / "verify-cooperad.jsonl").read_bytes() == (d2 / "verify-cooperad.jsonl").read_bytes()
+    # oracle workers each keep their own certified tensor sides
+    for suite in ("cooperad", "oracle"):
+        d1, d2 = tmp_path / suite / "w1", tmp_path / suite / "w2"
+        assert main(["verify", "--suite", suite, "--max", "2", "--out", str(d1)]) == 0
+        assert main(["verify", "--suite", suite, "--max", "2", "--workers", "2",
+                     "--out", str(d2)]) == 0
+        name = f"verify-{suite}.jsonl"
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 def test_verify_deterministic_across_runs(tmp_path):

@@ -114,6 +114,22 @@ def test_mat_mul_matches_reference(kind, data):
     assert all(is_normalized(kind, v) for row in prod for v in row)
 
 
+@pytest.mark.parametrize(
+    "kind, x, y, want",
+    [
+        ("prime", Q + 1, -1, Q - 1),
+        ("prime", -1, -1, 1),
+        ("prime", Q, 5, 0),
+        ("rational", Fraction(3, 7), Fraction(7, 3), 1),
+        ("rational", Fraction(3, 7), 0, 0),
+    ],
+)
+def test_one_by_one_mat_mul(kind, x, y, want):
+    prod = mat_mul(FIELDS[kind][0], [[x]], [[y]])
+    assert prod == ref_mat_mul(kind, [[x]], [[y]]) == [[want]]
+    assert type(prod[0][0]) is int
+
+
 def test_rational_norm_and_inverse():
     F = RationalField()
     assert type(F.norm(Fraction(6, 3))) is int

@@ -38,6 +38,15 @@ PRIME_CFG = FieldConfig()
 RAT_CFG = FieldConfig("rational")
 
 
+@pytest.fixture(autouse=True)
+def fresh_certificates():
+    # certified tensor sides are kept per process; a test that patches the
+    # oracle must not see, or leave behind, sides certified without its patch
+    oracle._certify_tensor.cache_clear()
+    yield
+    oracle._certify_tensor.cache_clear()
+
+
 # --- field configuration -----------------------------------------------------
 
 
@@ -307,6 +316,21 @@ def test_iso_rejects_wrong_dimensions():
     assert not iso_to_standard(mod, s_support(2, 2, 2))
 
 
+def test_explicit_zero_dims_read_as_missing():
+    s = s_support(2, 1, 2)
+    outside = next(p for p in s.shape.iter_points() if p not in s.point_set)
+    for point in (s.points[0], outside):
+        missing = standard_module(s, PRIME_CFG)
+        missing.dims.pop(point, None)
+        explicit = standard_module(s, PRIME_CFG)
+        explicit.dims[point] = 0
+        for expected in (s, s_support(2, 2, 2)):
+            assert iso_to_standard(explicit, expected) == iso_to_standard(missing, expected)
+            assert oracle._dims_witnesses(explicit, expected, "d") == oracle._dims_witnesses(
+                missing, expected, "d"
+            )
+
+
 # --- packaged oracle cross-checks -------------------------------------------------
 
 
@@ -325,6 +349,24 @@ def test_oracle_results_field_independent():
         b = oracle_nakayama_gamma_check(m, n, i, RAT_CFG)
         assert a.passed and b.passed
         assert (a.left_size, a.right_size) == (b.left_size, b.right_size)
+
+
+def test_equal_sides_are_certified_once():
+    # s_support(2, 1, 1) == s_support(2, 2, 1), so one side of the
+    # associativity check equals one already certified for commutativity
+    calls = [
+        (oracle_commutativity_check, (2, 1, 1, 1, 2)),
+        (oracle_associativity_check, (2, 1, 1, 1, 1)),
+    ]
+    fresh = []
+    for check, args in calls:
+        oracle._certify_tensor.cache_clear()
+        fresh.append(check(*args, PRIME_CFG))
+    oracle._certify_tensor.cache_clear()
+    kept = [check(*args, PRIME_CFG) for check, args in calls]
+    info = oracle._certify_tensor.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
+    assert kept == fresh
 
 
 def test_oracle_nakayama_mu_needs_inner_slot():
@@ -355,7 +397,9 @@ def flipped(fn, index):
     ids=["commutativity", "associativity"],
 )
 def test_seeded_contract_defect_is_named(monkeypatch, check, args):
-    # both sides lose the point (1, 1, 1, 1), and each side names it once
+    # both sides lose the point (1, 1, 1, 1), and each side names it once;
+    # the clean sides certified first do not answer for a changed prediction
+    assert check(*args, PRIME_CFG).passed
     monkeypatch.setattr(oracle, "contract", flipped(oracle.contract, (0, 0, 0, 0)))
     report = check(*args, PRIME_CFG)
     assert report.witnesses == [
@@ -373,6 +417,7 @@ def test_seeded_contract_defect_is_named(monkeypatch, check, args):
     ids=["gamma-loses", "gamma-gains", "mu-loses"],
 )
 def test_seeded_fiber_reversal_defect_is_named(monkeypatch, check, args, index, tag, message):
+    assert check(*args, PRIME_CFG).passed
     monkeypatch.setattr(oracle, "fiber_reversal", flipped(oracle.fiber_reversal, index))
     report = check(*args, PRIME_CFG)
     assert report.witnesses == [Witness(tag, tuple(k + 1 for k in index), message)]
@@ -393,3 +438,26 @@ def test_seeded_unit_defect_is_named(monkeypatch):
     ]
     assert expected
     assert report.witnesses == expected
+
+
+def scaling(arrow):
+    """tensor_over with the matrix of one arrow of its result set to 2."""
+
+    def seeded(*args):
+        module = tensor_over(*args)
+        module.maps[arrow] = [[2]]
+        return module
+
+    return seeded
+
+
+def test_seeded_tensor_defect_is_named(monkeypatch):
+    # a wrong arrow in the computed tensor product breaks its one square
+    monkeypatch.setattr(oracle, "tensor_over", scaling(((1, 1, 1), 1)))
+    report = oracle_unit_check(2, 2, 1, PRIME_CFG)
+    assert report.witnesses == [Witness("unit_relations", (1, 1, 1), "axes (1, 2)")]
+    # an arrow that lies in no commutation square can be rescaled to one by
+    # a change of basis: the module is still standard, and no witness is the
+    # correct answer
+    monkeypatch.setattr(oracle, "tensor_over", scaling(((1, 1, 1, 1), 2)))
+    assert oracle_commutativity_check(2, 1, 1, 1, 2, PRIME_CFG).passed
