@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -136,60 +137,135 @@ def _composite(F, second: Matrix | None, first: Matrix | None) -> Matrix | None:
 
 
 def check_relations(module: QuiverModule) -> list[SquareViolation]:
-    """All commutation squares whose two composites disagree."""
+    """All commutation squares whose two composites disagree, ordered by
+    base, then by axes.
+
+    Both composites leave the square's source corner, which is low on plain
+    axes and high on op axes.  Arrows are stored only between vertices of
+    positive dimension, so only squares with such a source are visited.
+    """
     F = module.config.field
     maps = module.maps
     axes = module.shape.axes
     k = len(axes)
     plain = [ax.polarity == PLAIN for ax in axes]
+    # the base is one step below the source along an op axis
+    drop = [0 if p else 1 for p in plain]
     out: list[SquareViolation] = []
-    for base in module.shape.iter_points():
+    for src, d in module.dims.items():
+        if not d:
+            continue
         for a in range(k):
-            if base[a] >= axes[a].length:
-                continue
-            base_a = base[:a] + (base[a] + 1,) + base[a + 1 :]
+            ca = src[a] - drop[a]
+            if not 1 <= ca < axes[a].length:
+                continue  # the target corner leaves the box
+            src_a = src[:a] + (ca,) + src[a + 1 :]
             for b in range(a + 1, k):
-                if base[b] >= axes[b].length:
+                cb = src[b] - drop[b]
+                if not 1 <= cb < axes[b].length:
                     continue
-                base_b = base[:b] + (base[b] + 1,) + base[b + 1 :]
+                base = src_a[:b] + (cb,) + src_a[b + 1 :]
+                base_a = base[:a] + (ca + 1,) + base[a + 1 :]
+                base_b = base[:b] + (cb + 1,) + base[b + 1 :]
                 # the arrows along a at the low and high b level, and along b
                 # at the low and high a level, each keyed at its lower corner
                 a_lo, a_hi = maps.get((base, a)), maps.get((base_b, a))
                 b_lo, b_hi = maps.get((base, b)), maps.get((base_a, b))
-                # the source corner is low on plain axes and high on op axes
                 via_a = _composite(F, b_hi if plain[a] else b_lo, a_lo if plain[b] else a_hi)
                 via_b = _composite(F, a_hi if plain[b] else a_lo, b_lo if plain[a] else b_hi)
                 if via_a != via_b:
                     out.append(SquareViolation(base, a, b))
+    out.sort(key=lambda v: (v.base, v.axis_a, v.axis_b))
     return out
 
 
-@dataclass
-class _TensorVertex:
-    """Quotient data of one result vertex of a tensor product, kept only
-    when the quotient is nonzero.  Big-space index offsets[i] + r1 * d2[i] + r2
-    is the pure tensor of basis vectors r1 and r2 at shared level i (0-based)."""
-
-    left: list[Point]
-    right: list[Point]
-    d2: list[int]
-    offsets: list[int]
-    bigdim: int
-    rref_rows: list[list]
-    pivots: list[int]
-    free: list[int]
-    free_labels: list[tuple[int, int, int]]
+def _frozen(mat: Matrix | None) -> tuple | None:
+    return None if mat is None else tuple(map(tuple, mat))
 
 
-def _level_fibers(module: QuiverModule, axis: int, L: int) -> dict[Point, tuple[list, list]]:
-    """Vertex and dimension at every level along the axis, for each nonzero
-    fiber, keyed by the vertex with the axis dropped, in sorted order."""
-    dims = module.dims
+def _level_fibers(module: QuiverModule, axis: int, L: int, runs: dict) -> tuple[dict, list]:
+    """Each nonzero fiber along the axis, keyed by the vertex with the axis
+    dropped, in sorted order: the id of its local data, and the id of its
+    run along every other axis, interned in runs.  Local data is the
+    dimension at every level and the matrix of every arrow along the axis;
+    a run is the matrix of the arrow along the other axis at every level
+    (None: zero).  Also returns the local data by id."""
+    dims, maps = module.dims, module.maps
+    ids: dict[tuple, int] = {}
     out = {}
     for rest in sorted({p[:axis] + p[axis + 1 :] for p in dims}):
         keys = [rest[:axis] + (c,) + rest[axis:] for c in range(1, L + 1)]
-        out[rest] = (keys, [dims.get(p, 0) for p in keys])
-    return out
+        arrows = [tuple([_frozen(maps.get((p, b))) for p in keys]) for b in range(len(rest) + 1)]
+        local = (tuple([dims.get(p, 0) for p in keys]), arrows.pop(axis)[:-1])
+        out[rest] = (ids.setdefault(local, len(ids)), [runs.setdefault(r, len(runs)) for r in arrows])
+    return out, list(ids)
+
+
+def _quotient(F, local1: tuple, local2: tuple) -> tuple | None:
+    """Big space of a result vertex modulo the balancing relations, from the
+    local data of its left and right fiber; None when the quotient is zero.
+
+    Returns (offsets, d2, bigdim, rref_rows, pivots, free, free_labels).
+    Big-space index offsets[i] + r1 * d2[i] + r2 is the pure tensor of basis
+    vectors r1 and r2 at shared level i (0-based); free_labels holds the
+    (i, r1, r2) of each free index.
+    """
+    (d1, mats1), (d2, mats2) = local1, local2
+    offsets, total = [], 0
+    for e1, e2 in zip(d1, d2):
+        offsets.append(total)
+        total += e1 * e2
+    if not total:
+        return None
+    rows: list[list] = []
+    for i in range(len(d1) - 1):
+        if not d1[i] or not d2[i + 1]:
+            continue  # no pure tensors x (x) y with x at level i, y at i + 1
+        A = mats1[i]  # m1 at level i -> level i + 1
+        B = mats2[i]  # m2 at level i + 1 -> level i
+        for b1 in range(d1[i]):
+            for b2 in range(d2[i + 1]):
+                row = [0] * total
+                if A is not None:
+                    for t, arow in enumerate(A):
+                        row[offsets[i + 1] + t * d2[i + 1] + b2] = arow[b1]
+                if B is not None:
+                    start = offsets[i] + b1 * d2[i]
+                    for t, brow in enumerate(B):
+                        row[start + t] = -brow[b2]
+                if any(row):
+                    rows.append(row)
+    red, pivots = rref(F, rows) if rows else ([], [])
+    pivot_set = set(pivots)
+    free = [f for f in range(total) if f not in pivot_set]
+    if not free:
+        return None
+    free_labels = []
+    for f in free:
+        i = bisect_right(offsets, f) - 1  # the last level starting at or before f
+        free_labels.append((i, *divmod(f - offsets[i], d2[i])))
+    return offsets, d2, total, red, pivots, free, free_labels
+
+
+def _induced(F, src: tuple, dst: tuple, run: tuple, on_left: bool) -> list[tuple]:
+    """Rows of the map from quotient src to quotient dst induced by the
+    arrows of one factor at each shared level (run[i], None: zero), acting
+    on the left or the right tensor factor."""
+    offsets, d2, total, red, pivots, free, _ = dst
+    cols = []
+    for i, r1, r2 in src[6]:
+        img = [0] * total
+        mat = run[i]
+        if mat is not None:
+            if on_left:  # r1 (x) r2 -> sum_r mat[r][r1] r (x) r2
+                start, stride, q = offsets[i] + r2, d2[i], r1
+            else:  # r1 (x) r2 -> sum_r mat[r][r2] r1 (x) r
+                start, stride, q = offsets[i] + r1 * d2[i], 1, r2
+            for r, mrow in enumerate(mat):
+                img[start + r * stride] = mrow[q]
+        reduced = reduce_mod_rows(F, img, red, pivots)
+        cols.append([reduced[g] for g in free])
+    return list(zip(*cols))
 
 
 def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverModule:
@@ -199,7 +275,8 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
     At every result vertex the big space is the direct sum over shared
     levels c of m1(.., c) tensor m2(c, ..); the balancing relations
     x.arrow (x) y - x (x) arrow.y are eliminated exactly, and arrow maps are
-    induced on the chosen complements.
+    induced on the chosen complements.  Both depend only on the local data
+    of the fibers involved, so each is computed once per distinct input.
     """
     for side, module, axis in (("left", m1, a1), ("right", m2, a2)):
         if not 0 <= axis < module.shape.arity:
@@ -222,80 +299,44 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
     out_shape = Shape(
         m1.shape.axes[:a1] + m1.shape.axes[a1 + 1 :] + m2.shape.axes[:a2] + m2.shape.axes[a2 + 1 :]
     )
-    maps1, maps2 = m1.maps, m2.maps
+    runs: dict[tuple, int] = {}
+    fibers1, local1 = _level_fibers(m1, a1, L, runs)
+    fibers2, local2 = _level_fibers(m2, a2, L, runs)
+    run_list = list(runs)
 
-    # result vertices x = u + w in lexicographic order, skipping those where a factor is zero
-    fibers = itertools.product(_level_fibers(m1, a1, L).items(), _level_fibers(m2, a2, L).items())
-    verts: dict[Point, _TensorVertex] = {}
+    # result vertices x = u + w in lexicographic order, skipping those where
+    # the quotient is zero; each holds the id pair of its fibers and its runs
+    quotients: dict[tuple[int, int], tuple | None] = {}
+    verts: dict[Point, tuple] = {}
     dims: dict[Point, int] = {}
-    for (u, (left, d1)), (w, (right, d2)) in fibers:
-        x = u + w
-        offsets, total = [], 0
-        for e1, e2 in zip(d1, d2):
-            offsets.append(total)
-            total += e1 * e2
-        if not total:
-            continue
-        rows: list[list] = []
-        for i in range(L - 1):
-            if not d1[i] or not d2[i + 1]:
-                continue  # no pure tensors x (x) y with x at level i, y at i + 1
-            A = maps1.get((left[i], a1))  # m1 at level i -> level i + 1
-            B = maps2.get((right[i], a2))  # m2 at level i + 1 -> level i
-            for b1 in range(d1[i]):
-                for b2 in range(d2[i + 1]):
-                    row = [0] * total
-                    if A is not None:
-                        for t, arow in enumerate(A):
-                            row[offsets[i + 1] + t * d2[i + 1] + b2] = arow[b1]
-                    if B is not None:
-                        start = offsets[i] + b1 * d2[i]
-                        for t, brow in enumerate(B):
-                            row[start + t] = -brow[b2]
-                    if any(row):
-                        rows.append(row)
-        red, pivots = rref(F, rows) if rows else ([], [])
-        pivot_set = set(pivots)
-        free = [f for f in range(total) if f not in pivot_set]
-        if not free:
-            continue
-        free_labels = []
-        for f in free:
-            i = bisect_right(offsets, f) - 1  # the last level starting at or before f
-            free_labels.append((i, *divmod(f - offsets[i], d2[i])))
-        verts[x] = _TensorVertex(left, right, d2, offsets, total, red, pivots, free, free_labels)
-        dims[x] = len(free)
+    for (u, (f1, runs1)), (w, (f2, runs2)) in itertools.product(fibers1.items(), fibers2.items()):
+        pair = (f1, f2)
+        if pair not in quotients:
+            quotients[pair] = _quotient(F, local1[f1], local2[f2])
+        quo = quotients[pair]
+        if quo is not None:
+            x = u + w
+            verts[x] = (pair, runs1, runs2)
+            dims[x] = len(quo[5])
 
+    # a map depends on its two quotients, its run and the factor it acts on
+    induced: dict[tuple, list[tuple]] = {}
     maps: dict[tuple[Point, int], Matrix] = {}
-    for x, vx in verts.items():
+    for x, (pair, runs1, runs2) in verts.items():
         for t, ax in enumerate(out_shape.axes):
             if x[t] >= ax.length:
                 continue
-            y = x[:t] + (x[t] + 1,) + x[t + 1 :]
-            vy = verts.get(y)
+            vy = verts.get(x[:t] + (x[t] + 1,) + x[t + 1 :])
             if vy is None:
                 continue
-            vs, vd = (vx, vy) if ax.polarity == PLAIN else (vy, vx)
             on_left = t < k1
-            if on_left:  # the m1 arrow at the shared level, keyed at x
-                orig, src_maps, level_keys = (t if t < a1 else t + 1), maps1, vx.left
-            else:
-                orig = t - k1 if t - k1 < a2 else t - k1 + 1
-                src_maps, level_keys = maps2, vx.right
-            cols = []
-            for i, r1, r2 in vs.free_labels:
-                img = [0] * vd.bigdim
-                mat = src_maps.get((level_keys[i], orig))
-                if mat is not None:
-                    if on_left:  # r1 (x) r2 -> sum_r mat[r][r1] r (x) r2
-                        start, stride, q = vd.offsets[i] + r2, vd.d2[i], r1
-                    else:  # r1 (x) r2 -> sum_r mat[r][r2] r1 (x) r
-                        start, stride, q = vd.offsets[i] + r1 * vd.d2[i], 1, r2
-                    for r, mrow in enumerate(mat):
-                        img[start + r * stride] = mrow[q]
-                red = reduce_mod_rows(F, img, vd.rref_rows, vd.pivots)
-                cols.append([red[g] for g in vd.free])
-            maps[(x, t)] = [list(row) for row in zip(*cols)]
+            run = runs1[t] if on_left else runs2[t - k1]
+            src, dst = (pair, vy[0]) if ax.polarity == PLAIN else (vy[0], pair)
+            key = (src, dst, run, on_left)
+            mat = induced.get(key)
+            if mat is None:
+                mat = induced[key] = _induced(F, quotients[src], quotients[dst], run_list[run], on_left)
+            maps[(x, t)] = [list(row) for row in mat]
 
     return QuiverModule(out_shape, m1.config, dims, maps)
 
@@ -387,15 +428,18 @@ def _certified_tensor(
     over axis a1 of s1 and the first axis of s2, against expected.
 
     Equal inputs are certified once per process.  The key holds the
-    expected mask as bytes, not the Support, whose cached points would
-    stay alive with it.
+    expected mask packed eight points to a byte, not the Support, whose
+    cached points would stay alive with it.
     """
-    return _certify_tensor(s1, a1, s2, expected.shape, expected.mask.tobytes(), tag, config)
+    bits = np.packbits(expected.mask).tobytes()
+    return _certify_tensor(s1, a1, s2, expected.shape, bits, tag, config)
 
 
 @functools.lru_cache(maxsize=4096)
-def _certify_tensor(s1, a1, s2, shape, mask, tag, config) -> tuple[Witness, ...]:
-    expected = Support(shape, np.frombuffer(mask, dtype=bool).reshape(shape.lengths))
+def _certify_tensor(s1, a1, s2, shape, bits, tag, config) -> tuple[Witness, ...]:
+    size = math.prod(shape.lengths)
+    mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=size).reshape(shape.lengths)
+    expected = Support(shape, mask)
     tens = tensor_over(standard_module(s1, config), a1, standard_module(s2, config), 0)
     return tuple(_certify(tens, expected, tag))
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import families, k0, oracle
@@ -202,6 +201,9 @@ def run_sweep(config: SweepConfig) -> ReportFile:
     # the machine or the sweep can use
     workers = min(config.workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here: the pool machinery costs every serial run its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_task, tasks, chunksize=8))
     else:

@@ -1,14 +1,18 @@
 """Module oracle: explicit modules, relations, exact tensor products."""
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quiverdias import oracle
 from quiverdias.families import interval_support, n_support, regular_support, s_support
+from quiverdias.linalg import reduce_mod_rows, rref
 from quiverdias.oracle import (
     FieldConfig,
+    QuiverModule,
     check_relations,
     indicator_module,
     is_prime,
@@ -23,16 +27,19 @@ from quiverdias.oracle import (
 )
 from quiverdias.supports import (
     OP,
+    PLAIN,
     SUCCESSOR,
     Axis,
     Shape,
     Support,
     contract,
     fiber_reversal,
+    SquareViolation,
     make_support,
     validate_standard,
 )
 from quiverdias.reports import Witness
+from quiverdias.sweeps import SweepConfig, run_sweep
 
 PRIME_CFG = FieldConfig()
 RAT_CFG = FieldConfig("rational")
@@ -158,6 +165,100 @@ def test_validate_standard_agrees_with_relations_exhaustively():
                 assert combinatorial == linear, (shape, sub)
 
 
+def reference_check_relations(module):
+    """Box-loop relation check: every square of the box, in lexicographic
+    order of its base, then of its axes."""
+    F = module.config.field
+    maps = module.maps
+    axes = module.shape.axes
+    k = len(axes)
+    plain = [ax.polarity == PLAIN for ax in axes]
+    out = []
+    for base in module.shape.iter_points():
+        for a in range(k):
+            if base[a] >= axes[a].length:
+                continue
+            base_a = base[:a] + (base[a] + 1,) + base[a + 1 :]
+            for b in range(a + 1, k):
+                if base[b] >= axes[b].length:
+                    continue
+                base_b = base[:b] + (base[b] + 1,) + base[b + 1 :]
+                a_lo, a_hi = maps.get((base, a)), maps.get((base_b, a))
+                b_lo, b_hi = maps.get((base, b)), maps.get((base_a, b))
+                via_a = oracle._composite(F, b_hi if plain[a] else b_lo, a_lo if plain[b] else a_hi)
+                via_b = oracle._composite(F, a_hi if plain[b] else a_lo, b_lo if plain[a] else b_hi)
+                if via_a != via_b:
+                    out.append(SquareViolation(base, a, b))
+    return out
+
+
+# few distinct scalars, so that fibers and runs of equal content recur;
+# unreduced residues, integral Fractions and non-integral Fractions
+PRIME_SCALARS = [0, 1, 2, -1, PRIME_CFG.q + 1, 2 * PRIME_CFG.q + 2]
+RATIONAL_SCALARS = [0, 1, 2, -1, Fraction(2), Fraction(1, 2), Fraction(-3, 4)]
+FIELD_CASES = [(PRIME_CFG, PRIME_SCALARS), (RAT_CFG, RATIONAL_SCALARS)]
+
+
+@st.composite
+def random_modules(draw, shape, cfg, scalars, palette):
+    """Dimensions 0 to 2, one or two of them per module, in random key order
+    and some of the zeros explicit; on every arrow between positive
+    dimensions a matrix or none.  The matrices of each size come from a
+    palette of one to three, shared by the modules drawn with it, so that
+    equal fibers and runs recur."""
+    dim_choices = sorted(draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)))
+    dims = {}
+    for p in draw(st.permutations(list(shape.iter_points()))):
+        d = draw(st.sampled_from(dim_choices))
+        if d or draw(st.booleans()):
+            dims[p] = d
+    maps = {}
+    for p in sorted(dims):
+        for a, ax in enumerate(shape.axes):
+            q = p[:a] + (p[a] + 1,) + p[a + 1 :]
+            if not dims[p] or not dims.get(q) or not draw(st.integers(0, 3)):
+                continue
+            size = (dims[q], dims[p]) if ax.polarity == PLAIN else (dims[p], dims[q])
+            if size not in palette:
+                row = st.lists(st.sampled_from(scalars), min_size=size[1], max_size=size[1])
+                matrix = st.lists(row, min_size=size[0], max_size=size[0])
+                palette[size] = draw(st.lists(matrix, min_size=1, max_size=3))
+            maps[(p, a)] = [list(r) for r in draw(st.sampled_from(palette[size]))]
+    return QuiverModule(shape, cfg, dims, maps)
+
+
+def stores_only_nonzero_arrows(module):
+    return all(
+        module.dim(p) and module.dim(p[:a] + (p[a] + 1,) + p[a + 1 :]) for p, a in module.maps
+    )
+
+
+@pytest.mark.parametrize("cfg, scalars", FIELD_CASES, ids=["prime", "rational"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_check_relations_matches_box_loop(cfg, scalars, data):
+    k = data.draw(st.integers(2, 3))
+    polarities = data.draw(st.lists(st.sampled_from((PLAIN, OP)), min_size=k, max_size=k))
+    lengths = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    shape = Shape(tuple(Axis(n, pol) for n, pol in zip(lengths, polarities)))
+    module = data.draw(random_modules(shape, cfg, scalars, {}))
+    assert check_relations(module) == reference_check_relations(module)
+
+
+def test_square_with_zero_base_is_checked_from_its_source():
+    # axis 0 plain, axis 1 op: the square at base (1, 1) leaves its source
+    # (1, 2) through (2, 2) and through the base, which is zero, so it
+    # commutes only while the path through (2, 2) composes to zero
+    shape = Shape((Axis(2), Axis(2, OP)))
+    dims = {(1, 1): 0, (1, 2): 1, (2, 1): 1, (2, 2): 1}
+    maps = {((1, 2), 0): [[1]], ((2, 1), 1): [[0]]}
+    module = QuiverModule(shape, PRIME_CFG, dims, maps)
+    assert check_relations(module) == []
+    module.maps[((2, 1), 1)] = [[3]]
+    assert check_relations(module) == [SquareViolation((1, 1), 0, 1)]
+    assert check_relations(module) == reference_check_relations(module)
+
+
 # --- tensor_over ---------------------------------------------------------------
 
 
@@ -221,6 +322,170 @@ def test_tensor_of_rescaled_rational_module():
     assert any(type(v) is Fraction for v in entries)
     # rational entries are ints while integral
     assert all(type(v) is int or v.denominator != 1 for v in entries)
+
+
+def reference_tensor_over(m1, a1, m2, a2):
+    """Per-vertex tensor product: the balancing relations are eliminated at
+    every result vertex, and each arrow map is induced label by label from
+    the source arrows at that vertex.  Inputs are taken as valid."""
+    F = m1.config.field
+    L = m1.shape.axes[a1].length
+    k1 = m1.shape.arity - 1
+    out_shape = Shape(
+        m1.shape.axes[:a1] + m1.shape.axes[a1 + 1 :] + m2.shape.axes[:a2] + m2.shape.axes[a2 + 1 :]
+    )
+    maps1, maps2 = m1.maps, m2.maps
+
+    def level_fibers(module, axis):
+        out = {}
+        for rest in sorted({p[:axis] + p[axis + 1 :] for p in module.dims}):
+            keys = [rest[:axis] + (c,) + rest[axis:] for c in range(1, L + 1)]
+            out[rest] = (keys, [module.dims.get(p, 0) for p in keys])
+        return out
+
+    verts, dims = {}, {}
+    fibers = itertools.product(level_fibers(m1, a1).items(), level_fibers(m2, a2).items())
+    for (u, (left, d1)), (w, (right, d2)) in fibers:
+        x = u + w
+        offsets, total = [], 0
+        for e1, e2 in zip(d1, d2):
+            offsets.append(total)
+            total += e1 * e2
+        if not total:
+            continue
+        rows = []
+        for i in range(L - 1):
+            if not d1[i] or not d2[i + 1]:
+                continue
+            A = maps1.get((left[i], a1))
+            B = maps2.get((right[i], a2))
+            for b1 in range(d1[i]):
+                for b2 in range(d2[i + 1]):
+                    row = [0] * total
+                    if A is not None:
+                        for t, arow in enumerate(A):
+                            row[offsets[i + 1] + t * d2[i + 1] + b2] = arow[b1]
+                    if B is not None:
+                        start = offsets[i] + b1 * d2[i]
+                        for t, brow in enumerate(B):
+                            row[start + t] = -brow[b2]
+                    if any(row):
+                        rows.append(row)
+        red, pivots = rref(F, rows) if rows else ([], [])
+        free = [f for f in range(total) if f not in set(pivots)]
+        if not free:
+            continue
+        free_labels = []
+        for f in free:
+            i = bisect_right(offsets, f) - 1
+            free_labels.append((i, *divmod(f - offsets[i], d2[i])))
+        verts[x] = (left, right, d2, offsets, total, red, pivots, free, free_labels)
+        dims[x] = len(free)
+
+    maps = {}
+    for x, vx in verts.items():
+        for t, ax in enumerate(out_shape.axes):
+            if x[t] >= ax.length:
+                continue
+            y = x[:t] + (x[t] + 1,) + x[t + 1 :]
+            vy = verts.get(y)
+            if vy is None:
+                continue
+            vs, vd = (vx, vy) if ax.polarity == PLAIN else (vy, vx)
+            _, _, d2, offsets, total, red, pivots, free, _ = vd
+            on_left = t < k1
+            if on_left:
+                orig, src_maps, level_keys = (t if t < a1 else t + 1), maps1, vx[0]
+            else:
+                orig = t - k1 if t - k1 < a2 else t - k1 + 1
+                src_maps, level_keys = maps2, vx[1]
+            cols = []
+            for i, r1, r2 in vs[8]:
+                img = [0] * total
+                mat = src_maps.get((level_keys[i], orig))
+                if mat is not None:
+                    if on_left:
+                        start, stride, q = offsets[i] + r2, d2[i], r1
+                    else:
+                        start, stride, q = offsets[i] + r1 * d2[i], 1, r2
+                    for r, mrow in enumerate(mat):
+                        img[start + r * stride] = mrow[q]
+                reduced = reduce_mod_rows(F, img, red, pivots)
+                cols.append([reduced[g] for g in free])
+            maps[(x, t)] = [list(row) for row in zip(*cols)]
+    return QuiverModule(out_shape, m1.config, dims, maps)
+
+
+def assert_same_module(got, want):
+    assert got.shape == want.shape and got.config == want.config
+    assert list(got.dims.items()) == list(want.dims.items())
+    assert list(got.maps.items()) == list(want.maps.items())
+
+
+@st.composite
+def tensor_inputs(draw, cfg, scalars):
+    """Two random modules with 2 or 3 axes, sharing an interval of length
+    1 to 3 along plain axis a1 of the first and op axis a2 of the second."""
+    L = draw(st.integers(1, 3))
+    palette: dict = {}
+    sides = []
+    for polarity in (PLAIN, OP):
+        k = draw(st.integers(2, 3))
+        axis = draw(st.integers(0, k - 1))
+        axes = [Axis(draw(st.integers(1, 2)), draw(st.sampled_from((PLAIN, OP))))
+                for _ in range(k - 1)]
+        axes.insert(axis, Axis(L, polarity))
+        sides.append((draw(random_modules(Shape(tuple(axes)), cfg, scalars, palette)), axis))
+    (m1, a1), (m2, a2) = sides
+    return m1, a1, m2, a2
+
+
+def twin_fibers(cfg, s1, s2):
+    """Fibers (1,) and (2,) of the left factor have equal dimensions, and the
+    scalars s1 and s2 on their arrows along the shared axis.  An arrow of
+    the right factor leads from a vertex whose quotient keeps shared level
+    1 to one where level 1 is identified with level 2 through that scalar,
+    so the induced map reads the scalar of the left fiber."""
+    m1 = QuiverModule(
+        Shape((Axis(2), Axis(2))),
+        cfg,
+        dict.fromkeys([(1, 1), (1, 2), (2, 1), (2, 2)], 1),
+        {((1, 1), 1): [[s1]], ((2, 1), 1): [[s2]], ((1, 1), 0): [[1]], ((1, 2), 0): [[1]]},
+    )
+    m2 = QuiverModule(
+        Shape((Axis(2, OP), Axis(2))),
+        cfg,
+        dict.fromkeys([(1, 1), (1, 2), (2, 1), (2, 2)], 1),
+        {((1, 2), 0): [[1]], ((1, 1), 1): [[1]], ((2, 1), 1): [[1]]},
+    )
+    return m1, 1, m2, 0
+
+
+def mirrored_runs(cfg, mat):
+    """Both factors carry the same 2x2 matrix on their free axis over a
+    shared interval of length 1, so every result vertex has the same
+    quotient and both arrow runs are equal: only the factor each acts on
+    tells mat (x) 1 from 1 (x) mat."""
+    m1 = QuiverModule(Shape((Axis(2), Axis(1))), cfg, {(1, 1): 2, (2, 1): 2}, {((1, 1), 0): mat})
+    m2 = QuiverModule(
+        Shape((Axis(1, OP), Axis(2))), cfg, {(1, 1): 2, (1, 2): 2}, {((1, 1), 1): mat}
+    )
+    return m1, 1, m2, 0
+
+
+# twin fibers need their matrices in the fiber key, and mirrored runs need
+# the side in the induced-map key; random modules rarely meet the second
+@settings(max_examples=120, deadline=None)
+@given(inputs=st.sampled_from(FIELD_CASES).flatmap(lambda case: tensor_inputs(*case)))
+@example(inputs=twin_fibers(PRIME_CFG, 2, 5))
+@example(inputs=twin_fibers(PRIME_CFG, 3, 3 + PRIME_CFG.q))
+@example(inputs=twin_fibers(RAT_CFG, Fraction(1, 2), Fraction(2)))
+@example(inputs=mirrored_runs(PRIME_CFG, [[1, 2], [0, 1]]))
+@example(inputs=mirrored_runs(RAT_CFG, [[Fraction(1, 3), 0], [1, 0]]))
+def test_tensor_over_matches_per_vertex_reference(inputs):
+    got = tensor_over(*inputs)
+    assert_same_module(got, reference_tensor_over(*inputs))
+    assert stores_only_nonzero_arrows(got)
 
 
 def test_tensor_refuses_to_leave_no_axis():
@@ -367,6 +632,43 @@ def test_equal_sides_are_certified_once():
     info = oracle._certify_tensor.cache_info()
     assert (info.misses, info.hits) == (3, 1)
     assert kept == fresh
+
+
+def test_predictions_differing_at_one_point_are_two_misses():
+    # the key packs the expected mask eight points to a byte; a box of 12
+    # points leaves four padding bits, which must not hide the last point
+    s1, s2 = s_support(2, 1, 2), s_support(2, 1, 1)
+    predicted = contract(s1, 1, s2, 0)
+    assert predicted.mask.size % 8
+    last = predicted.shape.lengths  # the last box point, in the support
+    mask = predicted.mask.copy()
+    mask[-1, -1, -1, -1] = False
+    seeded = Support(predicted.shape, mask)
+    clean = oracle._certified_tensor(s1, 1, s2, predicted, "left", PRIME_CFG)
+    wrong = oracle._certified_tensor(s1, 1, s2, seeded, "left", PRIME_CFG)
+    info = oracle._certify_tensor.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+    assert clean == ()
+    assert wrong == (Witness("left_dims", last, "dim 1, expected 0"),)
+
+
+def test_sweep_modules_store_arrows_only_between_nonzero_vertices(monkeypatch):
+    # check_relations visits only squares whose source has positive
+    # dimension, which is sound when no arrow touches a zero vertex
+    modules = []
+
+    def recording(fn):
+        def record(*args):
+            modules.append(fn(*args))
+            return modules[-1]
+
+        return record
+
+    monkeypatch.setattr(oracle, "standard_module", recording(oracle.standard_module))
+    monkeypatch.setattr(oracle, "tensor_over", recording(oracle.tensor_over))
+    assert run_sweep(SweepConfig(suite="oracle", max_m=2, oracle_max=2)).all_passed
+    assert len(modules) > 100
+    assert all(stores_only_nonzero_arrows(m) for m in modules)
 
 
 def test_oracle_nakayama_mu_needs_inner_slot():

@@ -1,6 +1,11 @@
 """Report values, the report file format, and sweep configuration."""
 
+import concurrent.futures
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,7 +194,7 @@ def test_worker_pool_is_bounded(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     many = SweepConfig(suite="anticyclic", max_m=2, workers=100_000)
     three_tasks = SweepConfig(suite="anticyclic", max_m=1, workers=100_000)
     assert len(build_tasks(three_tasks)) == 3
@@ -203,3 +208,15 @@ def test_worker_pool_is_bounded(monkeypatch):
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)
     assert run_sweep(many).all_passed
     assert sizes == [4, 3]  # core count unknown: serial, no pool
+
+
+def test_cli_import_leaves_the_pool_machinery_unloaded():
+    # a serial sweep, and every process that only builds tasks, skips the
+    # import of concurrent.futures.process and multiprocessing
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, quiverdias.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
