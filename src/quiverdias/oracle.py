@@ -105,12 +105,13 @@ def indicator_module(support: Support, config: FieldConfig = FieldConfig()) -> Q
     """One-dimensional spaces on the support, identity maps between adjacent
     support points.  No standardness check; see standard_module."""
     F = config.field
-    dims = {p: 1 for p in support.points}
+    points, point_set = support.points, support.point_set
+    dims = {p: 1 for p in points}
     maps: dict[tuple[Point, int], Matrix] = {}
-    for p in support.points:
-        for a in range(support.shape.arity):
+    for p in points:
+        for a in range(len(p)):
             q = p[:a] + (p[a] + 1,) + p[a + 1 :]
-            if q in support.point_set:
+            if q in point_set:
                 maps[(p, a)] = [[F.one]]
     return QuiverModule(support.shape, config, dims, maps)
 
@@ -128,11 +129,17 @@ def standard_module(support: Support, config: FieldConfig = FieldConfig()) -> Qu
     return indicator_module(support, config)
 
 
-def _composite(F, second: Matrix | None, first: Matrix | None) -> Matrix | None:
-    """second . first, or None when a factor is missing or the product is zero."""
+def _composite(F, second: Matrix | None, first: Matrix | None):
+    """second . first, or None when a factor is missing or the product is
+    zero.  A 1x1 product is a normalized scalar, whichever factors gave it,
+    so composites of one square compare equal exactly when their maps do."""
     if first is None or second is None:
         return None
+    if len(second) == len(first) == len(first[0]) == 1:
+        return F.norm(second[0][0] * first[0][0]) or None
     prod = mat_mul(F, second, first)
+    if len(prod) == len(prod[0]) == 1:
+        return prod[0][0] or None
     return prod if any(map(any, prod)) else None
 
 
@@ -183,22 +190,30 @@ def _frozen(mat: Matrix | None) -> tuple | None:
     return None if mat is None else tuple(map(tuple, mat))
 
 
-def _level_fibers(module: QuiverModule, axis: int, L: int, runs: dict) -> tuple[dict, list]:
+# Tables kept across tensor_over calls: an id per distinct fiber local data
+# or run, and for the current field (a sweep runs one field after the other)
+# the quotient per id pair and each induced map.  Ids must stay valid for a
+# whole call, so tables are cleared only between calls: all once one is over
+# the cap, the memos when the field changes.
+_IDS: dict[tuple, int] = {}
+_MEMOS: dict[object, tuple[dict, dict]] = {}
+_TABLE_CAP = 4096
+
+
+def _level_fibers(module: QuiverModule, axis: int, L: int) -> dict:
     """Each nonzero fiber along the axis, keyed by the vertex with the axis
     dropped, in sorted order: the id of its local data, and the id of its
-    run along every other axis, interned in runs.  Local data is the
-    dimension at every level and the matrix of every arrow along the axis;
-    a run is the matrix of the arrow along the other axis at every level
-    (None: zero).  Also returns the local data by id."""
-    dims, maps = module.dims, module.maps
-    ids: dict[tuple, int] = {}
+    run along every other axis.  Local data is the dimension at every level
+    and the matrix of every arrow along the axis; a run is the matrix of the
+    arrow along the other axis at every level (None: zero)."""
+    dims, maps, ids = module.dims, module.maps, _IDS
     out = {}
     for rest in sorted({p[:axis] + p[axis + 1 :] for p in dims}):
         keys = [rest[:axis] + (c,) + rest[axis:] for c in range(1, L + 1)]
         arrows = [tuple([_frozen(maps.get((p, b))) for p in keys]) for b in range(len(rest) + 1)]
         local = (tuple([dims.get(p, 0) for p in keys]), arrows.pop(axis)[:-1])
-        out[rest] = (ids.setdefault(local, len(ids)), [runs.setdefault(r, len(runs)) for r in arrows])
-    return out, list(ids)
+        out[rest] = (ids.setdefault(local, len(ids)), [ids.setdefault(r, len(ids)) for r in arrows])
+    return out
 
 
 def _quotient(F, local1: tuple, local2: tuple) -> tuple | None:
@@ -247,7 +262,7 @@ def _quotient(F, local1: tuple, local2: tuple) -> tuple | None:
     return offsets, d2, total, red, pivots, free, free_labels
 
 
-def _induced(F, src: tuple, dst: tuple, run: tuple, on_left: bool) -> list[tuple]:
+def _induced(F, src: tuple, dst: tuple, run: tuple, on_left: bool) -> tuple[tuple, ...]:
     """Rows of the map from quotient src to quotient dst induced by the
     arrows of one factor at each shared level (run[i], None: zero), acting
     on the left or the right tensor factor."""
@@ -265,7 +280,7 @@ def _induced(F, src: tuple, dst: tuple, run: tuple, on_left: bool) -> list[tuple
                 img[start + r * stride] = mrow[q]
         reduced = reduce_mod_rows(F, img, red, pivots)
         cols.append([reduced[g] for g in free])
-    return list(zip(*cols))
+    return tuple(zip(*cols))
 
 
 def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverModule:
@@ -276,7 +291,8 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
     levels c of m1(.., c) tensor m2(c, ..); the balancing relations
     x.arrow (x) y - x (x) arrow.y are eliminated exactly, and arrow maps are
     induced on the chosen complements.  Both depend only on the local data
-    of the fibers involved, so each is computed once per distinct input.
+    of the fibers involved, so each is computed once per distinct input, in
+    tables kept across calls (see _IDS).
     """
     for side, module, axis in (("left", m1, a1), ("right", m2, a2)):
         if not 0 <= axis < module.shape.arity:
@@ -299,20 +315,21 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
     out_shape = Shape(
         m1.shape.axes[:a1] + m1.shape.axes[a1 + 1 :] + m2.shape.axes[:a2] + m2.shape.axes[a2 + 1 :]
     )
-    runs: dict[tuple, int] = {}
-    fibers1, local1 = _level_fibers(m1, a1, L, runs)
-    fibers2, local2 = _level_fibers(m2, a2, L, runs)
-    run_list = list(runs)
+    fibers1 = _level_fibers(m1, a1, L)
+    fibers2 = _level_fibers(m2, a2, L)
+    content = list(_IDS)
+    if F not in _MEMOS:
+        _MEMOS.clear()
+    quotients, induced = _MEMOS.setdefault(F, ({}, {}))
 
     # result vertices x = u + w in lexicographic order, skipping those where
     # the quotient is zero; each holds the id pair of its fibers and its runs
-    quotients: dict[tuple[int, int], tuple | None] = {}
     verts: dict[Point, tuple] = {}
     dims: dict[Point, int] = {}
     for (u, (f1, runs1)), (w, (f2, runs2)) in itertools.product(fibers1.items(), fibers2.items()):
         pair = (f1, f2)
         if pair not in quotients:
-            quotients[pair] = _quotient(F, local1[f1], local2[f2])
+            quotients[pair] = _quotient(F, content[f1], content[f2])
         quo = quotients[pair]
         if quo is not None:
             x = u + w
@@ -320,7 +337,6 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
             dims[x] = len(quo[5])
 
     # a map depends on its two quotients, its run and the factor it acts on
-    induced: dict[tuple, list[tuple]] = {}
     maps: dict[tuple[Point, int], Matrix] = {}
     for x, (pair, runs1, runs2) in verts.items():
         for t, ax in enumerate(out_shape.axes):
@@ -332,12 +348,15 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
             on_left = t < k1
             run = runs1[t] if on_left else runs2[t - k1]
             src, dst = (pair, vy[0]) if ax.polarity == PLAIN else (vy[0], pair)
-            key = (src, dst, run, on_left)
+            key = (*src, *dst, run, on_left)
             mat = induced.get(key)
             if mat is None:
-                mat = induced[key] = _induced(F, quotients[src], quotients[dst], run_list[run], on_left)
+                mat = induced[key] = _induced(F, quotients[src], quotients[dst], content[run], on_left)
             maps[(x, t)] = [list(row) for row in mat]
 
+    if max(len(_IDS), *(len(t) for memo in _MEMOS.values() for t in memo)) > _TABLE_CAP:
+        _IDS.clear()
+        _MEMOS.clear()
     return QuiverModule(out_shape, m1.config, dims, maps)
 
 
@@ -351,20 +370,21 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
     """
     if module.shape != support.shape:
         return False
-    if {p: d for p, d in module.dims.items() if d} != dict.fromkeys(support.points, 1):
+    points, point_set, maps = support.points, support.point_set, module.maps
+    if {p: d for p, d in module.dims.items() if d} != dict.fromkeys(points, 1):
         return False
     F = module.config.field
     norm = F.norm
     plain = [ax.polarity == PLAIN for ax in module.shape.axes]
 
-    edges: dict[Point, list[tuple[Point, Point, Point, object]]] = {p: [] for p in support.points}
-    for p in support.points:
-        for a in range(support.shape.arity):
+    edges: dict[Point, list[tuple[Point, Point, Point, object]]] = {p: [] for p in points}
+    for p in points:
+        for a, forward in enumerate(plain):
             q = p[:a] + (p[a] + 1,) + p[a + 1 :]
-            if q not in support.point_set:
+            if q not in point_set:
                 continue
-            src, dst = (p, q) if plain[a] else (q, p)
-            mat = module.maps.get((p, a))
+            src, dst = (p, q) if forward else (q, p)
+            mat = maps.get((p, a))
             scalar = norm(mat[0][0]) if mat else 0
             if not scalar:
                 return False
@@ -372,7 +392,7 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
             edges[q].append((p, src, dst, scalar))
 
     scale: dict[Point, object] = {}
-    for root in support.points:
+    for root in points:
         if root in scale:
             continue
         scale[root] = 1
@@ -409,15 +429,16 @@ def _dims_witnesses(module: QuiverModule, expected: Support, check: str) -> list
     return out
 
 
-def _certify(module: QuiverModule, expected: Support, check: str) -> list[Witness]:
-    """Dims match the indicator, relations hold, and the module is standard."""
-    witnesses = _dims_witnesses(module, expected, f"{check}_dims")
+def _certify(module: QuiverModule, expected: Support) -> list[Witness]:
+    """Dims match the indicator, relations hold, and the module is standard;
+    each witness is named by the part of this certificate it fails."""
+    witnesses = _dims_witnesses(module, expected, "dims")
     witnesses += [
-        Witness(f"{check}_relations", v.base, f"axes ({v.axis_a}, {v.axis_b})")
+        Witness("relations", v.base, f"axes ({v.axis_a}, {v.axis_b})")
         for v in check_relations(module)
     ]
     if not witnesses and not iso_to_standard(module, expected):
-        witnesses.append(Witness(f"{check}_iso", (), "not isomorphic to the standard module"))
+        witnesses.append(Witness("iso", (), "not isomorphic to the standard module"))
     return witnesses
 
 
@@ -425,23 +446,32 @@ def _certified_tensor(
     s1: Support, a1: int, s2: Support, expected: Support, tag: str, config: FieldConfig
 ) -> tuple[Witness, ...]:
     """Witnesses of the tensor product of the standard modules of s1 and s2,
-    over axis a1 of s1 and the first axis of s2, against expected.
+    over axis a1 of s1 and the first axis of s2, against expected, each
+    named tag_part.
 
-    Equal inputs are certified once per process.  The key holds the
-    expected mask packed eight points to a byte, not the Support, whose
-    cached points would stay alive with it.
+    Equal inputs are certified once per process, whatever their tag.  A
+    Support caches its points, which live as long as a key holding it, so a
+    key holds one shared object per distinct factor support, and the
+    expected support as its axes and its mask packed eight points to a byte.
     """
     bits = np.packbits(expected.mask).tobytes()
-    return _certify_tensor(s1, a1, s2, expected.shape, bits, tag, config)
+    witnesses = _certify_tensor(_shared(s1), a1, _shared(s2), expected.shape.axes, bits, config)
+    return tuple(Witness(f"{tag}_{w.check}", w.where, w.detail) for w in witnesses)
 
 
 @functools.lru_cache(maxsize=4096)
-def _certify_tensor(s1, a1, s2, shape, bits, tag, config) -> tuple[Witness, ...]:
-    size = math.prod(shape.lengths)
-    mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=size).reshape(shape.lengths)
-    expected = Support(shape, mask)
+def _shared(support: Support) -> Support:
+    """The first object seen equal to support: a Support is immutable."""
+    return support
+
+
+@functools.lru_cache(maxsize=4096)
+def _certify_tensor(s1, a1, s2, axes, bits, config) -> tuple[Witness, ...]:
+    shape = Shape(axes)
+    mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=math.prod(shape.lengths))
+    expected = Support(shape, mask.reshape(shape.lengths))
     tens = tensor_over(standard_module(s1, config), a1, standard_module(s2, config), 0)
-    return tuple(_certify(tens, expected, tag))
+    return tuple(_certify(tens, expected))
 
 
 def oracle_commutativity_check(

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quiverdias import oracle
 from quiverdias.families import interval_support, n_support, regular_support, s_support
-from quiverdias.linalg import reduce_mod_rows, rref
+from quiverdias.linalg import mat_mul, reduce_mod_rows, rref
 from quiverdias.oracle import (
     FieldConfig,
     QuiverModule,
@@ -45,13 +45,21 @@ PRIME_CFG = FieldConfig()
 RAT_CFG = FieldConfig("rational")
 
 
+def clear_tables():
+    oracle._IDS.clear()
+    oracle._MEMOS.clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_certificates():
-    # certified tensor sides are kept per process; a test that patches the
-    # oracle must not see, or leave behind, sides certified without its patch
+    # certified tensor sides and the tensor_over tables are kept per
+    # process; a test that patches the oracle must not see, or leave behind,
+    # entries made without its patch
     oracle._certify_tensor.cache_clear()
+    clear_tables()
     yield
     oracle._certify_tensor.cache_clear()
+    clear_tables()
 
 
 # --- field configuration -----------------------------------------------------
@@ -165,6 +173,15 @@ def test_validate_standard_agrees_with_relations_exhaustively():
                 assert combinatorial == linear, (shape, sub)
 
 
+def reference_composite(F, second, first):
+    """second . first as a matrix, or None when a factor is missing or the
+    product is zero."""
+    if first is None or second is None:
+        return None
+    prod = mat_mul(F, second, first)
+    return prod if any(map(any, prod)) else None
+
+
 def reference_check_relations(module):
     """Box-loop relation check: every square of the box, in lexicographic
     order of its base, then of its axes."""
@@ -185,8 +202,8 @@ def reference_check_relations(module):
                 base_b = base[:b] + (base[b] + 1,) + base[b + 1 :]
                 a_lo, a_hi = maps.get((base, a)), maps.get((base_b, a))
                 b_lo, b_hi = maps.get((base, b)), maps.get((base_a, b))
-                via_a = oracle._composite(F, b_hi if plain[a] else b_lo, a_lo if plain[b] else a_hi)
-                via_b = oracle._composite(F, a_hi if plain[b] else a_lo, b_lo if plain[a] else b_hi)
+                via_a = reference_composite(F, b_hi if plain[a] else b_lo, a_lo if plain[b] else a_hi)
+                via_b = reference_composite(F, a_hi if plain[b] else a_lo, b_lo if plain[a] else b_hi)
                 if via_a != via_b:
                     out.append(SquareViolation(base, a, b))
     return out
@@ -257,6 +274,23 @@ def test_square_with_zero_base_is_checked_from_its_source():
     module.maps[((2, 1), 1)] = [[3]]
     assert check_relations(module) == [SquareViolation((1, 1), 0, 1)]
     assert check_relations(module) == reference_check_relations(module)
+
+
+@pytest.mark.parametrize(
+    "cfg, five", [(PRIME_CFG, PRIME_CFG.q + 5), (RAT_CFG, Fraction(5))], ids=["prime", "rational"]
+)
+def test_square_through_a_plane_matches_square_through_a_line(cfg, five):
+    # (1, 1) -> (2, 1) -> (2, 2) is (1x2)(2x1) = 3 * 1 + 1 * 2, and
+    # (1, 1) -> (1, 2) -> (2, 2) is (1x1)(1x1): equal maps, so no violation
+    shape = Shape((Axis(2), Axis(2)))
+    dims = {(1, 1): 1, (2, 1): 2, (1, 2): 1, (2, 2): 1}
+    maps = {((1, 1), 0): [[1], [2]], ((2, 1), 1): [[3, 1]]}
+    maps |= {((1, 1), 1): [[1]], ((1, 2), 0): [[five]]}
+    module = QuiverModule(shape, cfg, dims, maps)
+    assert check_relations(module) == reference_check_relations(module) == []
+    module.maps[((1, 2), 0)] = [[4]]
+    assert check_relations(module) == reference_check_relations(module)
+    assert check_relations(module) == [SquareViolation((1, 1), 0, 1)]
 
 
 # --- tensor_over ---------------------------------------------------------------
@@ -488,6 +522,74 @@ def test_tensor_over_matches_per_vertex_reference(inputs):
     assert stores_only_nonzero_arrows(got)
 
 
+def with_arrow(inputs, side, key, value):
+    """Copy of tensor inputs in which one arrow of one factor is [[value]]."""
+    m1, a1, m2, a2 = inputs
+    modules = [m1, m2]
+    m = modules[side]
+    modules[side] = QuiverModule(m.shape, m.config, dict(m.dims), {**m.maps, key: [[value]]})
+    return modules[0], a1, modules[1], a2
+
+
+@pytest.mark.parametrize(
+    "first, then, old, new",
+    [
+        (PRIME_CFG, PRIME_CFG, 1, 2),
+        (PRIME_CFG, PRIME_CFG, 1, PRIME_CFG.q + 1),
+        (RAT_CFG, RAT_CFG, 2, Fraction(2)),
+        (PRIME_CFG, RAT_CFG, -1, -1),
+        (RAT_CFG, PRIME_CFG, -1, -1),
+    ],
+    ids=["scaled", "unreduced", "fraction", "prime-then-rational", "rational-then-prime"],
+)
+def test_tensor_over_after_an_input_differing_in_one_arrow(first, then, old, new):
+    # the tables outlive each call: an input that differs from the one
+    # before it in a single arrow, or only in its field, must not be
+    # answered from the entries of the first
+    clean = twin_fibers(first, 2, -1)
+    changed = 0
+    for side in (0, 1):
+        for key, mat in clean[2 * side].maps.items():
+            if mat != [[old]]:
+                continue
+            clear_tables()
+            tensor_over(*clean)
+            inputs = with_arrow(twin_fibers(then, 2, -1), side, key, new)
+            assert_same_module(tensor_over(*inputs), reference_tensor_over(*inputs))
+            changed += 1
+    assert changed
+
+
+def table_sizes():
+    return [len(oracle._IDS)] + [len(t) for memo in oracle._MEMOS.values() for t in memo]
+
+
+def test_tables_stay_within_their_cap(monkeypatch):
+    # a small cap is overfilled by some calls and not by others: the tables
+    # are cleared between calls, never beyond the cap, and every result
+    # still equals the reference
+    monkeypatch.setattr(oracle, "_TABLE_CAP", 16)
+    s = s_support(2, 1, 2)
+    lefts = [n_support(3), regular_support(3), s_support(3, 1, 1), s_support(3, 2, 2)]
+    sizes = []
+    for cfg, left in itertools.product((PRIME_CFG, RAT_CFG), lefts * 2):
+        inputs = (standard_module(left, cfg), 1, standard_module(s, cfg), 0)
+        assert_same_module(tensor_over(*inputs), reference_tensor_over(*inputs))
+        sizes.append(table_sizes())
+        assert max(sizes[-1]) <= 16
+    assert [0] in sizes and any(min(row) > 0 for row in sizes)
+
+
+def test_memos_hold_one_field_at_a_time():
+    # a sweep runs its fields one after the other, so the memos of a field
+    # are dropped when a call in another field comes; the ids stay
+    s = s_support(2, 1, 2)
+    for cfg in (PRIME_CFG, RAT_CFG):
+        tensor_over(standard_module(n_support(3), cfg), 1, standard_module(s, cfg), 0)
+        assert list(oracle._MEMOS) == [cfg.field]
+        assert len(oracle._IDS) == 7
+
+
 def test_tensor_refuses_to_leave_no_axis():
     left = standard_module(interval_support(3, "projective", 1), PRIME_CFG)
     right = standard_module(make_support(Shape((Axis(3, OP),)), [(1,), (2,)]), PRIME_CFG)
@@ -630,7 +732,9 @@ def test_equal_sides_are_certified_once():
     oracle._certify_tensor.cache_clear()
     kept = [check(*args, PRIME_CFG) for check, args in calls]
     info = oracle._certify_tensor.cache_info()
-    assert (info.misses, info.hits) == (3, 1)
+    # the key holds no tag: the left and right sides of the commutativity
+    # check are equal too, so two of the four sides are hits
+    assert (info.misses, info.hits) == (2, 2)
     assert kept == fresh
 
 
@@ -650,6 +754,30 @@ def test_predictions_differing_at_one_point_are_two_misses():
     assert (info.misses, info.hits) == (2, 0)
     assert clean == ()
     assert wrong == (Witness("left_dims", last, "dim 1, expected 0"),)
+
+
+def test_sides_sharing_a_key_keep_their_own_tags():
+    # one seeded prediction certified under two tags is one entry, and the
+    # witnesses of each call are named by its own tag
+    s1, s2 = s_support(2, 1, 2), s_support(2, 1, 1)
+    predicted = contract(s1, 1, s2, 0)
+    mask = predicted.mask.copy()
+    mask[-1, -1, -1, -1] = False
+    seeded = Support(predicted.shape, mask)
+    last = predicted.shape.lengths
+    for tag in ("left", "right", "left"):
+        got = oracle._certified_tensor(s1, 1, s2, seeded, tag, PRIME_CFG)
+        assert got == (Witness(f"{tag}_dims", last, "dim 1, expected 0"),)
+    info = oracle._certify_tensor.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_equal_factor_supports_are_held_once():
+    # a key holds one object per distinct factor support, so the points a
+    # Support caches are kept once, not once per key
+    a, b = n_support(3), n_support(3)
+    assert a == b and a is not b
+    assert oracle._shared(a) is oracle._shared(b)
 
 
 def test_sweep_modules_store_arrows_only_between_nonzero_vertices(monkeypatch):
