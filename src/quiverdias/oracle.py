@@ -149,39 +149,46 @@ def check_relations(module: QuiverModule) -> list[SquareViolation]:
 
     Both composites leave the square's source corner, which is low on plain
     axes and high on op axes.  Arrows are stored only between vertices of
-    positive dimension, so only squares with such a source are visited.
+    positive dimension, so only squares with such a source are visited, and
+    a square where each path misses an arrow commutes (both composites are
+    zero) without a product being formed.
     """
     F = module.config.field
     maps = module.maps
     axes = module.shape.axes
     k = len(axes)
-    plain = [ax.polarity == PLAIN for ax in axes]
-    # the base is one step below the source along an op axis
-    drop = [0 if p else 1 for p in plain]
+    lengths = [ax.length for ax in axes]
+    # the step from the source corner along each axis
+    step = [1 if ax.polarity == PLAIN else -1 for ax in axes]
+    pairs = list(itertools.combinations(range(k), 2))
     out: list[SquareViolation] = []
     for src, d in module.dims.items():
         if not d:
             continue
-        for a in range(k):
-            ca = src[a] - drop[a]
-            if not 1 <= ca < axes[a].length:
-                continue  # the target corner leaves the box
-            src_a = src[:a] + (ca,) + src[a + 1 :]
-            for b in range(a + 1, k):
-                cb = src[b] - drop[b]
-                if not 1 <= cb < axes[b].length:
-                    continue
-                base = src_a[:b] + (cb,) + src_a[b + 1 :]
-                base_a = base[:a] + (ca + 1,) + base[a + 1 :]
-                base_b = base[:b] + (cb + 1,) + base[b + 1 :]
-                # the arrows along a at the low and high b level, and along b
-                # at the low and high a level, each keyed at its lower corner
-                a_lo, a_hi = maps.get((base, a)), maps.get((base_b, a))
-                b_lo, b_hi = maps.get((base, b)), maps.get((base_a, b))
-                via_a = _composite(F, b_hi if plain[a] else b_lo, a_lo if plain[b] else a_hi)
-                via_b = _composite(F, a_hi if plain[b] else a_lo, b_lo if plain[a] else b_hi)
-                if via_a != via_b:
-                    out.append(SquareViolation(base, a, b))
+        # along each axis whose target corner stays in the box, the lower
+        # corner of the arrow leaving the source, and that arrow
+        low: list[Point | None] = [None] * k
+        leg: list[Matrix | None] = [None] * k
+        for t in range(k):
+            c = src[t] if step[t] > 0 else src[t] - 1
+            if 1 <= c < lengths[t]:
+                low[t] = src[:t] + (c,) + src[t + 1 :]
+                leg[t] = maps.get((low[t], t))
+        for a, b in pairs:
+            lo_a, lo_b = low[a], low[b]
+            if lo_a is None or lo_b is None:
+                continue
+            # each path's second arrow leaves the corner its first reached
+            first_a, first_b = leg[a], leg[b]
+            second_a = second_b = None
+            if first_a is not None:
+                second_a = maps.get((lo_b[:a] + (src[a] + step[a],) + lo_b[a + 1 :], b))
+            if first_b is not None:
+                second_b = maps.get((lo_a[:b] + (src[b] + step[b],) + lo_a[b + 1 :], a))
+            if second_a is None and second_b is None:
+                continue
+            if _composite(F, second_a, first_a) != _composite(F, second_b, first_b):
+                out.append(SquareViolation(lo_a[:b] + (lo_b[b],) + lo_a[b + 1 :], a, b))
     out.sort(key=lambda v: (v.base, v.axis_a, v.axis_b))
     return out
 
@@ -190,30 +197,82 @@ def _frozen(mat: Matrix | None) -> tuple | None:
     return None if mat is None else tuple(map(tuple, mat))
 
 
-# Tables kept across tensor_over calls: an id per distinct fiber local data
-# or run, and for the current field (a sweep runs one field after the other)
-# the quotient per id pair and each induced map.  Ids must stay valid for a
-# whole call, so tables are cleared only between calls: all once one is over
-# the cap, the memos when the field changes.
+# Tables kept across calls of the tensor body, for one field at a time (a
+# sweep runs its fields one after the other): an id per distinct fiber local
+# data or run (_IDS, with the content of each id at its index in _CONTENT),
+# one shared object per distinct fiber entry or part of one (_SHARED), the
+# fiber tables of the standard factors of the certificate path (_FIBERS), and
+# the quotient per id pair and each induced map (_MEMOS).  Ids must stay
+# valid for a whole call, so the tables are cleared only between calls, all
+# together: once one is over the cap, or when a call comes in another field.
 _IDS: dict[tuple, int] = {}
+_CONTENT: list[tuple] = []
+_SHARED: dict[tuple, tuple] = {}
+_FIBERS: dict[tuple[Support, FieldConfig], dict[int, tuple]] = {}
 _MEMOS: dict[object, tuple[dict, dict]] = {}
 _TABLE_CAP = 4096
 
 
-def _level_fibers(module: QuiverModule, axis: int, L: int) -> dict:
-    """Each nonzero fiber along the axis, keyed by the vertex with the axis
-    dropped, in sorted order: the id of its local data, and the id of its
-    run along every other axis.  Local data is the dimension at every level
+def _clear_tables() -> None:
+    for table in (_IDS, _CONTENT, _SHARED, _FIBERS, _MEMOS):
+        table.clear()
+
+
+def _use_field(F) -> None:
+    """Start the tables afresh when a call comes in another field.  Content
+    equal in two fields, such as 2 and Fraction(2), must not be read back in
+    the other, where PrimeField.inv cannot invert a Fraction."""
+    if F not in _MEMOS:
+        _clear_tables()
+        _MEMOS[F] = ({}, {})
+
+
+def _intern(content: tuple) -> int:
+    i = _IDS.get(content)
+    if i is None:
+        i = _IDS[content] = len(_CONTENT)
+        _CONTENT.append(content)
+    return i
+
+
+def _share(entry: tuple) -> tuple:
+    return _SHARED.setdefault(entry, entry)
+
+
+def _level_fibers(module: QuiverModule, axis: int, L: int) -> tuple:
+    """Each nonzero fiber along the axis, in sorted order of the vertex with
+    the axis dropped, as (that vertex, (id of its local data, id of its run
+    along every other axis)).  Local data is the dimension at every level
     and the matrix of every arrow along the axis; a run is the matrix of the
     arrow along the other axis at every level (None: zero)."""
-    dims, maps, ids = module.dims, module.maps, _IDS
-    out = {}
+    dims, maps = module.dims, module.maps
+    out = []
     for rest in sorted({p[:axis] + p[axis + 1 :] for p in dims}):
         keys = [rest[:axis] + (c,) + rest[axis:] for c in range(1, L + 1)]
         arrows = [tuple([_frozen(maps.get((p, b))) for p in keys]) for b in range(len(rest) + 1)]
         local = (tuple([dims.get(p, 0) for p in keys]), arrows.pop(axis)[:-1])
-        out[rest] = (ids.setdefault(local, len(ids)), [ids.setdefault(r, len(ids)) for r in arrows])
-    return out
+        out.append((rest, (_intern(local), tuple([_intern(r) for r in arrows]))))
+    return tuple(out)
+
+
+def _standard_fibers(support: Support, axis: int, config: FieldConfig) -> tuple:
+    """_level_fibers of the standard module of a support, built once per
+    support, axis and field while the tables last.  The support is validated
+    on its first use only; later axes are read from its indicator module.
+    A table is kept, so its entries and their parts are shared objects."""
+    tables = _FIBERS.get((support, config))
+    if tables is None:
+        module = standard_module(support, config)
+        tables = _FIBERS[(support, config)] = {}
+    elif axis in tables:
+        return tables[axis]
+    else:
+        module = indicator_module(support, config)
+    fibers = _level_fibers(module, axis, support.shape.lengths[axis])
+    tables[axis] = tuple(
+        _share((_share(rest), _share((f, _share(runs))))) for rest, (f, runs) in fibers
+    )
+    return tables[axis]
 
 
 def _quotient(F, local1: tuple, local2: tuple) -> tuple | None:
@@ -283,6 +342,25 @@ def _induced(F, src: tuple, dst: tuple, run: tuple, on_left: bool) -> tuple[tupl
     return tuple(zip(*cols))
 
 
+def _tensor_shape(shape1: Shape, a1: int, shape2: Shape, a2: int) -> Shape:
+    """Shape of the tensor product over plain axis a1 and op axis a2, after
+    checking that those axes can be contracted."""
+    for side, shape, axis in (("left", shape1, a1), ("right", shape2, a2)):
+        if not 0 <= axis < shape.arity:
+            raise ValueError(f"{side} axis index {axis} out of range for {shape.arity} axes")
+    axes1, axes2 = shape1.axes, shape2.axes
+    ax1, ax2 = axes1[a1], axes2[a2]
+    if ax1.length != ax2.length:
+        raise ValueError(f"length mismatch: {ax1.length} vs {ax2.length}")
+    if ax1.polarity != PLAIN:
+        raise ValueError(f"left axis {a1} must be plain, got {ax1.polarity}")
+    if ax2.polarity != OP:
+        raise ValueError(f"right axis {a2} must be op, got {ax2.polarity}")
+    if shape1.arity + shape2.arity == 2:
+        raise ValueError(f"contracting axis {a1} against axis {a2} leaves no axis")
+    return Shape(axes1[:a1] + axes1[a1 + 1 :] + axes2[:a2] + axes2[a2 + 1 :])
+
+
 def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverModule:
     """Tensor m1 and m2 over the interval factor shared by plain axis a1 of
     m1 and op axis a2 of m2.
@@ -294,39 +372,28 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
     of the fibers involved, so each is computed once per distinct input, in
     tables kept across calls (see _IDS).
     """
-    for side, module, axis in (("left", m1, a1), ("right", m2, a2)):
-        if not 0 <= axis < module.shape.arity:
-            raise ValueError(f"{side} axis index {axis} out of range for {module.shape.arity} axes")
-    ax1 = m1.shape.axes[a1]
-    ax2 = m2.shape.axes[a2]
-    if ax1.length != ax2.length:
-        raise ValueError(f"length mismatch: {ax1.length} vs {ax2.length}")
-    if ax1.polarity != PLAIN:
-        raise ValueError(f"left axis {a1} must be plain, got {ax1.polarity}")
-    if ax2.polarity != OP:
-        raise ValueError(f"right axis {a2} must be op, got {ax2.polarity}")
+    out_shape = _tensor_shape(m1.shape, a1, m2.shape, a2)
     if m1.config != m2.config:
         raise ValueError(f"field mismatch: {m1.config} vs {m2.config}")
-    if m1.shape.arity + m2.shape.arity == 2:
-        raise ValueError(f"contracting axis {a1} against axis {a2} leaves no axis")
-    F = m1.config.field
-    L = ax1.length
-    k1 = m1.shape.arity - 1
-    out_shape = Shape(
-        m1.shape.axes[:a1] + m1.shape.axes[a1 + 1 :] + m2.shape.axes[:a2] + m2.shape.axes[a2 + 1 :]
-    )
-    fibers1 = _level_fibers(m1, a1, L)
-    fibers2 = _level_fibers(m2, a2, L)
-    content = list(_IDS)
-    if F not in _MEMOS:
-        _MEMOS.clear()
-    quotients, induced = _MEMOS.setdefault(F, ({}, {}))
+    _use_field(m1.config.field)
+    L = m1.shape.lengths[a1]
+    fibers1, fibers2 = _level_fibers(m1, a1, L), _level_fibers(m2, a2, L)
+    return _tensor(fibers1, fibers2, out_shape, m1.shape.arity - 1, m1.config)
+
+
+def _tensor(
+    fibers1: tuple, fibers2: tuple, out_shape: Shape, k1: int, config: FieldConfig
+) -> QuiverModule:
+    """The tensor product from the fiber tables of its two factors, whose
+    k1 free left axes come first in out_shape."""
+    F, content = config.field, _CONTENT
+    quotients, induced = _MEMOS[F]
 
     # result vertices x = u + w in lexicographic order, skipping those where
     # the quotient is zero; each holds the id pair of its fibers and its runs
     verts: dict[Point, tuple] = {}
     dims: dict[Point, int] = {}
-    for (u, (f1, runs1)), (w, (f2, runs2)) in itertools.product(fibers1.items(), fibers2.items()):
+    for (u, (f1, runs1)), (w, (f2, runs2)) in itertools.product(fibers1, fibers2):
         pair = (f1, f2)
         if pair not in quotients:
             quotients[pair] = _quotient(F, content[f1], content[f2])
@@ -354,10 +421,9 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
                 mat = induced[key] = _induced(F, quotients[src], quotients[dst], content[run], on_left)
             maps[(x, t)] = [list(row) for row in mat]
 
-    if max(len(_IDS), *(len(t) for memo in _MEMOS.values() for t in memo)) > _TABLE_CAP:
-        _IDS.clear()
-        _MEMOS.clear()
-    return QuiverModule(out_shape, m1.config, dims, maps)
+    if max(map(len, (_IDS, _SHARED, _FIBERS, quotients, induced))) > _TABLE_CAP:
+        _clear_tables()
+    return QuiverModule(out_shape, config, dims, maps)
 
 
 def iso_to_standard(module: QuiverModule, support: Support) -> bool:
@@ -470,7 +536,10 @@ def _certify_tensor(s1, a1, s2, axes, bits, config) -> tuple[Witness, ...]:
     shape = Shape(axes)
     mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=math.prod(shape.lengths))
     expected = Support(shape, mask.reshape(shape.lengths))
-    tens = tensor_over(standard_module(s1, config), a1, standard_module(s2, config), 0)
+    out_shape = _tensor_shape(s1.shape, a1, s2.shape, 0)
+    _use_field(config.field)
+    fibers1 = _standard_fibers(s1, a1, config)
+    tens = _tensor(fibers1, _standard_fibers(s2, 0, config), out_shape, s1.shape.arity - 1, config)
     return tuple(_certify(tens, expected))
 
 

@@ -1,5 +1,6 @@
 """Module oracle: explicit modules, relations, exact tensor products."""
 
+import hashlib
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quiverdias import oracle
+from quiverdias.cli import main
 from quiverdias.families import interval_support, n_support, regular_support, s_support
 from quiverdias.linalg import mat_mul, reduce_mod_rows, rref
 from quiverdias.oracle import (
@@ -47,12 +49,15 @@ RAT_CFG = FieldConfig("rational")
 
 def clear_tables():
     oracle._IDS.clear()
+    oracle._CONTENT.clear()
+    oracle._SHARED.clear()
+    oracle._FIBERS.clear()
     oracle._MEMOS.clear()
 
 
 @pytest.fixture(autouse=True)
 def fresh_certificates():
-    # certified tensor sides and the tensor_over tables are kept per
+    # certified tensor sides and the tables of the tensor body are kept per
     # process; a test that patches the oracle must not see, or leave behind,
     # entries made without its patch
     oracle._certify_tensor.cache_clear()
@@ -274,6 +279,32 @@ def test_square_with_zero_base_is_checked_from_its_source():
     module.maps[((2, 1), 1)] = [[3]]
     assert check_relations(module) == [SquareViolation((1, 1), 0, 1)]
     assert check_relations(module) == reference_check_relations(module)
+
+
+# the square at base (1, 1) of a plain 2 x 2 box, with (2, 1) of dimension
+# two: path a is (1, 1) -> (2, 1) -> (2, 2), path b is (1, 1) -> (1, 2) -> (2, 2)
+A1, A2 = ((1, 1), 0), ((2, 1), 1)
+B1, B2 = ((1, 1), 1), ((1, 2), 0)
+
+
+@pytest.mark.parametrize(
+    "maps, violated",
+    [
+        ({A1: [[1], [1]], B2: [[1]]}, False),  # each path misses its second arrow
+        ({A2: [[1, 1]], B1: [[1]]}, False),  # each path misses its first arrow
+        ({A1: [[1], [1]], A2: [[1, 1]], B1: [[1]]}, True),  # only path a composes
+        ({A1: [[1], [1]], B1: [[1]], B2: [[4]]}, True),  # only path b composes
+        ({A1: [[1], [2]], A2: [[2, -1]], B1: [[1]]}, False),  # 1x2 . 2x1 is zero
+        ({A1: [[1], [2]], A2: [[3, -1]], B1: [[1]], B2: [[1]]}, False),  # both are one
+        ({A1: [[1], [2]], A2: [[3, -1]], B1: [[1]], B2: [[2]]}, True),  # one against two
+    ],
+    ids=["second-missing", "first-missing", "only-a", "only-b", "zero-product", "equal", "unequal"],
+)
+def test_square_with_missing_arrows(maps, violated):
+    shape = Shape((Axis(2), Axis(2)))
+    module = QuiverModule(shape, PRIME_CFG, {(1, 1): 1, (2, 1): 2, (1, 2): 1, (2, 2): 1}, maps)
+    assert check_relations(module) == reference_check_relations(module)
+    assert check_relations(module) == ([SquareViolation((1, 1), 0, 1)] if violated else [])
 
 
 @pytest.mark.parametrize(
@@ -581,13 +612,26 @@ def test_tables_stay_within_their_cap(monkeypatch):
 
 
 def test_memos_hold_one_field_at_a_time():
-    # a sweep runs its fields one after the other, so the memos of a field
-    # are dropped when a call in another field comes; the ids stay
+    # a sweep runs its fields one after the other, so the tables of a field
+    # are dropped when a call in another field comes, ids included
     s = s_support(2, 1, 2)
     for cfg in (PRIME_CFG, RAT_CFG):
         tensor_over(standard_module(n_support(3), cfg), 1, standard_module(s, cfg), 0)
         assert list(oracle._MEMOS) == [cfg.field]
         assert len(oracle._IDS) == 7
+
+
+def test_equal_content_of_another_field_is_not_read_back():
+    # Fraction(2) == 2: read back in the prime field, the rational arrow
+    # would reach PrimeField.inv as a Fraction and raise TypeError
+    for cfg, two in ((RAT_CFG, Fraction(2)), (PRIME_CFG, 2)):
+        points = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+        m1 = QuiverModule(Shape((Axis(3), Axis(2))), cfg, dict.fromkeys(points, 1))
+        m2 = QuiverModule(
+            Shape((Axis(3, OP), Axis(1))), cfg, dict.fromkeys(points[::2], 1), {((2, 1), 0): [[two]]}
+        )
+        inputs = (m1, 0, m2, 0)
+        assert_same_module(tensor_over(*inputs), reference_tensor_over(*inputs))
 
 
 def test_tensor_refuses_to_leave_no_axis():
@@ -772,6 +816,74 @@ def test_sides_sharing_a_key_keep_their_own_tags():
     assert (info.misses, info.hits) == (1, 2)
 
 
+def test_certificates_build_each_standard_module_once(monkeypatch):
+    # a sweep validates and builds each factor support once per field, and
+    # the body it tensors them with gives what public tensor_over gives
+    standard, certify, cached = oracle.standard_module, oracle._certify, oracle._certify_tensor
+    built, certified, misses = [], [], []
+
+    def counting(support, config):
+        built.append((support, config))
+        return standard(support, config)
+
+    def recording(module, expected):
+        certified.append(module)
+        return certify(module, expected)
+
+    def keyed(s1, a1, s2, axes, bits, config):
+        before = len(certified)
+        witnesses = cached(s1, a1, s2, axes, bits, config)
+        if len(certified) > before:
+            misses.append(((s1, a1, s2, config), certified[-1]))
+        return witnesses
+
+    monkeypatch.setattr(oracle, "standard_module", counting)
+    monkeypatch.setattr(oracle, "_certify", recording)
+    monkeypatch.setattr(oracle, "_certify_tensor", keyed)
+    assert run_sweep(SweepConfig(suite="oracle", max_m=2, oracle_max=2)).all_passed
+    factors = {(s, cfg) for (s1, _, s2, cfg), _ in misses for s in (s1, s2)}
+    sides = {side for (s1, a1, s2, cfg), _ in misses for side in ((s1, a1, cfg), (s2, 0, cfg))}
+    # some supports are tensored along two axes, and each is built once
+    assert len(misses) == len(certified) and len(sides) > len(factors)
+    assert len(built) == len(factors) and set(built) == factors
+    for (s1, a1, s2, cfg), module in misses:
+        assert_same_module(module, tensor_over(standard(s1, cfg), a1, standard(s2, cfg), 0))
+
+
+def test_certificates_refuse_a_nonstandard_factor_every_time():
+    # a refused factor leaves no fiber table behind that would skip its check
+    bad = make_support(Shape((Axis(2), Axis(2))), [(1, 1), (2, 1), (2, 2)])
+    right = s_support(2, 1, 1)
+    expected = make_support(Shape(bad.shape.axes[:1] + right.shape.axes[1:]), [])
+    with pytest.raises(ValueError) as refused:
+        standard_module(bad, PRIME_CFG)
+    for _ in range(2):
+        with pytest.raises(ValueError) as again:
+            oracle._certified_tensor(bad, 1, right, expected, "left", PRIME_CFG)
+        assert str(again.value) == str(refused.value)
+    assert not oracle._FIBERS
+
+
+ORACLE_K3_SHA = "f4afe9a49591bbcae13e0cc1813edc6c0b74cc31df0479f475e576437b065b06"
+
+
+def test_sweep_with_tables_cleared_every_few_calls_keeps_its_bytes(tmp_path, monkeypatch):
+    # with a cap of 16 every table is cleared after most tensor products, so
+    # no id, shared entry or fiber table may outlive the content it names;
+    # forked workers inherit the cap
+    monkeypatch.setattr(oracle, "_TABLE_CAP", 16)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["verify", "--suite", "oracle", "--max", "3", "--oracle-max", "3",
+                     "--workers", workers, "--out", str(out)]) == 0
+        reports.append((out / "verify-oracle.jsonl").read_bytes())
+    assert hashlib.sha256(reports[0]).hexdigest() == ORACLE_K3_SHA
+    assert reports[1] == reports[0]
+    assert max(map(len, (oracle._IDS, oracle._CONTENT, oracle._SHARED, oracle._FIBERS))) <= 16
+
+
 def test_equal_factor_supports_are_held_once():
     # a key holds one object per distinct factor support, so the points a
     # Support caches are kept once, not once per key
@@ -793,7 +905,7 @@ def test_sweep_modules_store_arrows_only_between_nonzero_vertices(monkeypatch):
         return record
 
     monkeypatch.setattr(oracle, "standard_module", recording(oracle.standard_module))
-    monkeypatch.setattr(oracle, "tensor_over", recording(oracle.tensor_over))
+    monkeypatch.setattr(oracle, "_tensor", recording(oracle._tensor))
     assert run_sweep(SweepConfig(suite="oracle", max_m=2, oracle_max=2)).all_passed
     assert len(modules) > 100
     assert all(stores_only_nonzero_arrows(m) for m in modules)
@@ -870,11 +982,12 @@ def test_seeded_unit_defect_is_named(monkeypatch):
     assert report.witnesses == expected
 
 
-def scaling(arrow):
-    """tensor_over with the matrix of one arrow of its result set to 2."""
+def scaling(arrow, body=oracle._tensor):
+    """The tensor body (the unseeded one, bound here) with the matrix of one
+    arrow of its result set to 2."""
 
     def seeded(*args):
-        module = tensor_over(*args)
+        module = body(*args)
         module.maps[arrow] = [[2]]
         return module
 
@@ -883,11 +996,11 @@ def scaling(arrow):
 
 def test_seeded_tensor_defect_is_named(monkeypatch):
     # a wrong arrow in the computed tensor product breaks its one square
-    monkeypatch.setattr(oracle, "tensor_over", scaling(((1, 1, 1), 1)))
+    monkeypatch.setattr(oracle, "_tensor", scaling(((1, 1, 1), 1)))
     report = oracle_unit_check(2, 2, 1, PRIME_CFG)
     assert report.witnesses == [Witness("unit_relations", (1, 1, 1), "axes (1, 2)")]
     # an arrow that lies in no commutation square can be rescaled to one by
     # a change of basis: the module is still standard, and no witness is the
     # correct answer
-    monkeypatch.setattr(oracle, "tensor_over", scaling(((1, 1, 1, 1), 2)))
+    monkeypatch.setattr(oracle, "_tensor", scaling(((1, 1, 1, 1), 2)))
     assert oracle_commutativity_check(2, 1, 1, 1, 2, PRIME_CFG).passed
