@@ -72,9 +72,10 @@ def cmd_verify(args) -> int:
         workers=args.workers,
         out_dir=args.out or os.environ.get(OUT_ENV, "."),
     )
-    rf = run_sweep(config)
+    # an unusable --out is refused before the sweep, not after it
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    rf = run_sweep(config)
     path = write_report_file(rf, out_dir / f"verify-{args.suite}.jsonl")
     status = "all passed" if rf.all_passed else f"{rf.failed} FAILED"
     print(f"{rf.total} checks, {status}; report: {path}")

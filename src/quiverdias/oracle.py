@@ -10,9 +10,7 @@ prime (default 32003).
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -158,8 +156,7 @@ def check_relations(module: QuiverModule) -> list[SquareViolation]:
     axes = module.shape.axes
     k = len(axes)
     lengths = [ax.length for ax in axes]
-    # the step from the source corner along each axis
-    step = [1 if ax.polarity == PLAIN else -1 for ax in axes]
+    step = [ax.step for ax in axes]  # from the source corner along each axis
     pairs = list(itertools.combinations(range(k), 2))
     out: list[SquareViolation] = []
     for src, d in module.dims.items():
@@ -197,82 +194,89 @@ def _frozen(mat: Matrix | None) -> tuple | None:
     return None if mat is None else tuple(map(tuple, mat))
 
 
-# Tables kept across calls of the tensor body, for one field at a time (a
-# sweep runs its fields one after the other): an id per distinct fiber local
-# data or run (_IDS, with the content of each id at its index in _CONTENT),
-# one shared object per distinct fiber entry or part of one (_SHARED), the
-# fiber tables of the standard factors of the certificate path (_FIBERS), and
-# the quotient per id pair and each induced map (_MEMOS).  Ids must stay
-# valid for a whole call, so the tables are cleared only between calls, all
-# together: once one is over the cap, or when a call comes in another field.
-_IDS: dict[tuple, int] = {}
-_CONTENT: list[tuple] = []
-_SHARED: dict[tuple, tuple] = {}
-_FIBERS: dict[tuple[Support, FieldConfig], dict[int, tuple]] = {}
-_MEMOS: dict[object, tuple[dict, dict]] = {}
+class _Tables:
+    """What the tensor body keeps across calls, in one field: an id per
+    distinct fiber local data or run (its content at that index), one shared
+    object per distinct fiber entry, part of one or factor support, fiber
+    tables by factor support and axis, quotients by id pair, induced maps
+    and certified witnesses.  Content equal in two fields (2, Fraction(2))
+    must not be read back where PrimeField.inv cannot invert a Fraction."""
+
+    def __init__(self, config: FieldConfig) -> None:
+        self.config = config
+        self.ids: dict[tuple, int] = {}
+        self.content: list[tuple] = []
+        self.shared: dict = {}
+        self.fibers: dict[Support, dict[int, tuple]] = {}
+        self.quotients: dict[tuple[int, int], tuple | None] = {}
+        self.induced: dict[tuple, tuple] = {}
+        self.certificates: dict[tuple, tuple[Witness, ...]] = {}
+
+    def intern(self, content: tuple) -> int:
+        i = self.ids.get(content)
+        if i is None:
+            i = self.ids[content] = len(self.content)
+            self.content.append(content)
+        return i
+
+    def share(self, entry):
+        """The first object seen equal to entry, which is immutable."""
+        return self.shared.setdefault(entry, entry)
+
+
+_TABLES: _Tables | None = None
 _TABLE_CAP = 4096
 
 
-def _clear_tables() -> None:
-    for table in (_IDS, _CONTENT, _SHARED, _FIBERS, _MEMOS):
-        table.clear()
+def _tables(config: FieldConfig) -> _Tables:
+    """The current tables, or new ones in another field.  A call takes them
+    once and keeps them, so a drop (a rebinding) leaves its ids valid."""
+    global _TABLES
+    if _TABLES is None or _TABLES.config != config:
+        _TABLES = _Tables(config)
+    return _TABLES
 
 
-def _use_field(F) -> None:
-    """Start the tables afresh when a call comes in another field.  Content
-    equal in two fields, such as 2 and Fraction(2), must not be read back in
-    the other, where PrimeField.inv cannot invert a Fraction."""
-    if F not in _MEMOS:
-        _clear_tables()
-        _MEMOS[F] = ({}, {})
+def _drop_if_full(t: _Tables) -> None:
+    """After a call, drop the tables once any of them is over the cap."""
+    global _TABLES
+    if max(map(len, (t.ids, t.shared, t.fibers, t.quotients, t.induced, t.certificates))) > _TABLE_CAP:
+        _TABLES = None
 
 
-def _intern(content: tuple) -> int:
-    i = _IDS.get(content)
-    if i is None:
-        i = _IDS[content] = len(_CONTENT)
-        _CONTENT.append(content)
-    return i
-
-
-def _share(entry: tuple) -> tuple:
-    return _SHARED.setdefault(entry, entry)
-
-
-def _level_fibers(module: QuiverModule, axis: int, L: int) -> tuple:
+def _level_fibers(module: QuiverModule, axis: int, tables: _Tables) -> tuple:
     """Each nonzero fiber along the axis, in sorted order of the vertex with
     the axis dropped, as (that vertex, (id of its local data, id of its run
     along every other axis)).  Local data is the dimension at every level
     and the matrix of every arrow along the axis; a run is the matrix of the
     arrow along the other axis at every level (None: zero)."""
-    dims, maps = module.dims, module.maps
-    out = []
+    dims, maps, intern = module.dims, module.maps, tables.intern
+    out, levels = [], range(1, module.shape.axes[axis].length + 1)
     for rest in sorted({p[:axis] + p[axis + 1 :] for p in dims}):
-        keys = [rest[:axis] + (c,) + rest[axis:] for c in range(1, L + 1)]
+        keys = [rest[:axis] + (c,) + rest[axis:] for c in levels]
         arrows = [tuple([_frozen(maps.get((p, b))) for p in keys]) for b in range(len(rest) + 1)]
         local = (tuple([dims.get(p, 0) for p in keys]), arrows.pop(axis)[:-1])
-        out.append((rest, (_intern(local), tuple([_intern(r) for r in arrows]))))
+        out.append((rest, (intern(local), tuple([intern(r) for r in arrows]))))
     return tuple(out)
 
 
-def _standard_fibers(support: Support, axis: int, config: FieldConfig) -> tuple:
+def _standard_fibers(support: Support, axis: int, tables: _Tables) -> tuple:
     """_level_fibers of the standard module of a support, built once per
-    support, axis and field while the tables last.  The support is validated
-    on its first use only; later axes are read from its indicator module.
-    A table is kept, so its entries and their parts are shared objects."""
-    tables = _FIBERS.get((support, config))
-    if tables is None:
+    support and axis while the tables last.  The support is validated on
+    its first use only; later axes are read from its indicator module.  A
+    table is kept, so its entries and their parts are shared objects."""
+    config, share = tables.config, tables.share
+    by_axis = tables.fibers.get(support)
+    if by_axis is None:
         module = standard_module(support, config)
-        tables = _FIBERS[(support, config)] = {}
-    elif axis in tables:
-        return tables[axis]
+        by_axis = tables.fibers[support] = {}
+    elif axis in by_axis:
+        return by_axis[axis]
     else:
         module = indicator_module(support, config)
-    fibers = _level_fibers(module, axis, support.shape.lengths[axis])
-    tables[axis] = tuple(
-        _share((_share(rest), _share((f, _share(runs))))) for rest, (f, runs) in fibers
-    )
-    return tables[axis]
+    fibers = _level_fibers(module, axis, tables)
+    by_axis[axis] = tuple(share((share(rest), share((f, share(runs))))) for rest, (f, runs) in fibers)
+    return by_axis[axis]
 
 
 def _quotient(F, local1: tuple, local2: tuple) -> tuple | None:
@@ -370,24 +374,23 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
     x.arrow (x) y - x (x) arrow.y are eliminated exactly, and arrow maps are
     induced on the chosen complements.  Both depend only on the local data
     of the fibers involved, so each is computed once per distinct input, in
-    tables kept across calls (see _IDS).
+    tables kept across calls (see _Tables).
     """
     out_shape = _tensor_shape(m1.shape, a1, m2.shape, a2)
     if m1.config != m2.config:
         raise ValueError(f"field mismatch: {m1.config} vs {m2.config}")
-    _use_field(m1.config.field)
-    L = m1.shape.lengths[a1]
-    fibers1, fibers2 = _level_fibers(m1, a1, L), _level_fibers(m2, a2, L)
-    return _tensor(fibers1, fibers2, out_shape, m1.shape.arity - 1, m1.config)
+    tables = _tables(m1.config)
+    fibers1, fibers2 = _level_fibers(m1, a1, tables), _level_fibers(m2, a2, tables)
+    module = _tensor(fibers1, fibers2, out_shape, m1.shape.arity - 1, tables)
+    _drop_if_full(tables)
+    return module
 
 
-def _tensor(
-    fibers1: tuple, fibers2: tuple, out_shape: Shape, k1: int, config: FieldConfig
-) -> QuiverModule:
+def _tensor(fibers1: tuple, fibers2: tuple, out_shape: Shape, k1: int, tables: _Tables) -> QuiverModule:
     """The tensor product from the fiber tables of its two factors, whose
     k1 free left axes come first in out_shape."""
-    F, content = config.field, _CONTENT
-    quotients, induced = _MEMOS[F]
+    F, content = tables.config.field, tables.content
+    quotients, induced = tables.quotients, tables.induced
 
     # result vertices x = u + w in lexicographic order, skipping those where
     # the quotient is zero; each holds the id pair of its fibers and its runs
@@ -420,10 +423,7 @@ def _tensor(
             if mat is None:
                 mat = induced[key] = _induced(F, quotients[src], quotients[dst], content[run], on_left)
             maps[(x, t)] = [list(row) for row in mat]
-
-    if max(map(len, (_IDS, _SHARED, _FIBERS, quotients, induced))) > _TABLE_CAP:
-        _clear_tables()
-    return QuiverModule(out_shape, config, dims, maps)
+    return QuiverModule(out_shape, tables.config, dims, maps)
 
 
 def iso_to_standard(module: QuiverModule, support: Support) -> bool:
@@ -515,32 +515,22 @@ def _certified_tensor(
     over axis a1 of s1 and the first axis of s2, against expected, each
     named tag_part.
 
-    Equal inputs are certified once per process, whatever their tag.  A
-    Support caches its points, which live as long as a key holding it, so a
-    key holds one shared object per distinct factor support, and the
-    expected support as its axes and its mask packed eight points to a byte.
+    Equal inputs are certified once while the tables last, whatever their
+    tag.  A key holds one shared object per distinct factor support, whose
+    cached points live as long as the key, and the expected support as its
+    axes and its mask packed eight points to a byte.
     """
-    bits = np.packbits(expected.mask).tobytes()
-    witnesses = _certify_tensor(_shared(s1), a1, _shared(s2), expected.shape.axes, bits, config)
+    tables = _tables(config)
+    s1, s2 = tables.share(s1), tables.share(s2)
+    key = (s1, a1, s2, expected.shape.axes, np.packbits(expected.mask).tobytes())
+    witnesses = tables.certificates.get(key)
+    if witnesses is None:
+        out_shape = _tensor_shape(s1.shape, a1, s2.shape, 0)
+        fibers1, fibers2 = _standard_fibers(s1, a1, tables), _standard_fibers(s2, 0, tables)
+        module = _tensor(fibers1, fibers2, out_shape, s1.shape.arity - 1, tables)
+        witnesses = tables.certificates[key] = tuple(_certify(module, expected))
+        _drop_if_full(tables)
     return tuple(Witness(f"{tag}_{w.check}", w.where, w.detail) for w in witnesses)
-
-
-@functools.lru_cache(maxsize=4096)
-def _shared(support: Support) -> Support:
-    """The first object seen equal to support: a Support is immutable."""
-    return support
-
-
-@functools.lru_cache(maxsize=4096)
-def _certify_tensor(s1, a1, s2, axes, bits, config) -> tuple[Witness, ...]:
-    shape = Shape(axes)
-    mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=math.prod(shape.lengths))
-    expected = Support(shape, mask.reshape(shape.lengths))
-    out_shape = _tensor_shape(s1.shape, a1, s2.shape, 0)
-    _use_field(config.field)
-    fibers1 = _standard_fibers(s1, a1, config)
-    tens = _tensor(fibers1, _standard_fibers(s2, 0, config), out_shape, s1.shape.arity - 1, config)
-    return tuple(_certify(tens, expected))
 
 
 def oracle_commutativity_check(

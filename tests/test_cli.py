@@ -206,6 +206,17 @@ def test_verify_negative_bound_exit_2(capsys, tmp_path):
     assert "all passed" in capsys.readouterr().out
 
 
+def test_verify_unusable_out_refused_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("quiverdias.cli.run_sweep", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["verify", "--suite", "oracle", "--max", "2", "--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_huge_prime_refused_exit_2(capsys):
     # refused before any primality test: trial division would not finish
     assert main(["verify", "--max", "1", "--prime", str(2**61 - 1)]) == 2

@@ -48,11 +48,7 @@ RAT_CFG = FieldConfig("rational")
 
 
 def clear_tables():
-    oracle._IDS.clear()
-    oracle._CONTENT.clear()
-    oracle._SHARED.clear()
-    oracle._FIBERS.clear()
-    oracle._MEMOS.clear()
+    oracle._TABLES = None
 
 
 @pytest.fixture(autouse=True)
@@ -60,11 +56,31 @@ def fresh_certificates():
     # certified tensor sides and the tables of the tensor body are kept per
     # process; a test that patches the oracle must not see, or leave behind,
     # entries made without its patch
-    oracle._certify_tensor.cache_clear()
     clear_tables()
     yield
-    oracle._certify_tensor.cache_clear()
     clear_tables()
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The modules _certify is called on, one per certificate miss."""
+    modules = []
+    certify = oracle._certify
+
+    def recording(module, expected):
+        modules.append(module)
+        return certify(module, expected)
+
+    monkeypatch.setattr(oracle, "_certify", recording)
+    return modules
+
+
+def table_sizes(*names):
+    """The sizes of the named tables (default: all, certificates last), or
+    [0] when the tables are dropped."""
+    t = oracle._TABLES
+    names = names or ("ids", "content", "shared", "fibers", "quotients", "induced", "certificates")
+    return [0] if t is None else [len(getattr(t, name)) for name in names]
 
 
 # --- field configuration -----------------------------------------------------
@@ -591,10 +607,6 @@ def test_tensor_over_after_an_input_differing_in_one_arrow(first, then, old, new
     assert changed
 
 
-def table_sizes():
-    return [len(oracle._IDS)] + [len(t) for memo in oracle._MEMOS.values() for t in memo]
-
-
 def test_tables_stay_within_their_cap(monkeypatch):
     # a small cap is overfilled by some calls and not by others: the tables
     # are cleared between calls, never beyond the cap, and every result
@@ -606,8 +618,8 @@ def test_tables_stay_within_their_cap(monkeypatch):
     for cfg, left in itertools.product((PRIME_CFG, RAT_CFG), lefts * 2):
         inputs = (standard_module(left, cfg), 1, standard_module(s, cfg), 0)
         assert_same_module(tensor_over(*inputs), reference_tensor_over(*inputs))
-        sizes.append(table_sizes())
-        assert max(sizes[-1]) <= 16
+        sizes.append(table_sizes("ids", "quotients", "induced"))
+        assert max(table_sizes()) <= 16
     assert [0] in sizes and any(min(row) > 0 for row in sizes)
 
 
@@ -617,8 +629,8 @@ def test_memos_hold_one_field_at_a_time():
     s = s_support(2, 1, 2)
     for cfg in (PRIME_CFG, RAT_CFG):
         tensor_over(standard_module(n_support(3), cfg), 1, standard_module(s, cfg), 0)
-        assert list(oracle._MEMOS) == [cfg.field]
-        assert len(oracle._IDS) == 7
+        assert oracle._TABLES.config == cfg
+        assert len(oracle._TABLES.ids) == 7
 
 
 def test_equal_content_of_another_field_is_not_read_back():
@@ -762,7 +774,7 @@ def test_oracle_results_field_independent():
         assert (a.left_size, a.right_size) == (b.left_size, b.right_size)
 
 
-def test_equal_sides_are_certified_once():
+def test_equal_sides_are_certified_once(certified):
     # s_support(2, 1, 1) == s_support(2, 2, 1), so one side of the
     # associativity check equals one already certified for commutativity
     calls = [
@@ -771,18 +783,18 @@ def test_equal_sides_are_certified_once():
     ]
     fresh = []
     for check, args in calls:
-        oracle._certify_tensor.cache_clear()
+        clear_tables()
         fresh.append(check(*args, PRIME_CFG))
-    oracle._certify_tensor.cache_clear()
+    clear_tables()
+    certified.clear()
     kept = [check(*args, PRIME_CFG) for check, args in calls]
-    info = oracle._certify_tensor.cache_info()
     # the key holds no tag: the left and right sides of the commutativity
-    # check are equal too, so two of the four sides are hits
-    assert (info.misses, info.hits) == (2, 2)
+    # check are equal too, so of the four sides two are misses, two hits
+    assert len(certified) == len(oracle._TABLES.certificates) == 2
     assert kept == fresh
 
 
-def test_predictions_differing_at_one_point_are_two_misses():
+def test_predictions_differing_at_one_point_are_two_misses(certified):
     # the key packs the expected mask eight points to a byte; a box of 12
     # points leaves four padding bits, which must not hide the last point
     s1, s2 = s_support(2, 1, 2), s_support(2, 1, 1)
@@ -794,13 +806,12 @@ def test_predictions_differing_at_one_point_are_two_misses():
     seeded = Support(predicted.shape, mask)
     clean = oracle._certified_tensor(s1, 1, s2, predicted, "left", PRIME_CFG)
     wrong = oracle._certified_tensor(s1, 1, s2, seeded, "left", PRIME_CFG)
-    info = oracle._certify_tensor.cache_info()
-    assert (info.misses, info.hits) == (2, 0)
+    assert len(certified) == len(oracle._TABLES.certificates) == 2
     assert clean == ()
     assert wrong == (Witness("left_dims", last, "dim 1, expected 0"),)
 
 
-def test_sides_sharing_a_key_keep_their_own_tags():
+def test_sides_sharing_a_key_keep_their_own_tags(certified):
     # one seeded prediction certified under two tags is one entry, and the
     # witnesses of each call are named by its own tag
     s1, s2 = s_support(2, 1, 2), s_support(2, 1, 1)
@@ -812,34 +823,29 @@ def test_sides_sharing_a_key_keep_their_own_tags():
     for tag in ("left", "right", "left"):
         got = oracle._certified_tensor(s1, 1, s2, seeded, tag, PRIME_CFG)
         assert got == (Witness(f"{tag}_dims", last, "dim 1, expected 0"),)
-    info = oracle._certify_tensor.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    # three calls: one miss, two hits
+    assert len(certified) == len(oracle._TABLES.certificates) == 1
 
 
-def test_certificates_build_each_standard_module_once(monkeypatch):
+def test_certificates_build_each_standard_module_once(monkeypatch, certified):
     # a sweep validates and builds each factor support once per field, and
     # the body it tensors them with gives what public tensor_over gives
-    standard, certify, cached = oracle.standard_module, oracle._certify, oracle._certify_tensor
-    built, certified, misses = [], [], []
+    standard, cached = oracle.standard_module, oracle._certified_tensor
+    built, misses = [], []
 
     def counting(support, config):
         built.append((support, config))
         return standard(support, config)
 
-    def recording(module, expected):
-        certified.append(module)
-        return certify(module, expected)
-
-    def keyed(s1, a1, s2, axes, bits, config):
+    def keyed(s1, a1, s2, expected, tag, config):
         before = len(certified)
-        witnesses = cached(s1, a1, s2, axes, bits, config)
+        witnesses = cached(s1, a1, s2, expected, tag, config)
         if len(certified) > before:
             misses.append(((s1, a1, s2, config), certified[-1]))
         return witnesses
 
     monkeypatch.setattr(oracle, "standard_module", counting)
-    monkeypatch.setattr(oracle, "_certify", recording)
-    monkeypatch.setattr(oracle, "_certify_tensor", keyed)
+    monkeypatch.setattr(oracle, "_certified_tensor", keyed)
     assert run_sweep(SweepConfig(suite="oracle", max_m=2, oracle_max=2)).all_passed
     factors = {(s, cfg) for (s1, _, s2, cfg), _ in misses for s in (s1, s2)}
     sides = {side for (s1, a1, s2, cfg), _ in misses for side in ((s1, a1, cfg), (s2, 0, cfg))}
@@ -861,7 +867,7 @@ def test_certificates_refuse_a_nonstandard_factor_every_time():
         with pytest.raises(ValueError) as again:
             oracle._certified_tensor(bad, 1, right, expected, "left", PRIME_CFG)
         assert str(again.value) == str(refused.value)
-    assert not oracle._FIBERS
+    assert not oracle._TABLES.fibers
 
 
 ORACLE_K3_SHA = "f4afe9a49591bbcae13e0cc1813edc6c0b74cc31df0479f475e576437b065b06"
@@ -873,6 +879,14 @@ def test_sweep_with_tables_cleared_every_few_calls_keeps_its_bytes(tmp_path, mon
     # forked workers inherit the cap
     monkeypatch.setattr(oracle, "_TABLE_CAP", 16)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    certified_tensor, sizes = oracle._certified_tensor, []
+
+    def recording(*args):
+        witnesses = certified_tensor(*args)
+        sizes.append(table_sizes())
+        return witnesses
+
+    monkeypatch.setattr(oracle, "_certified_tensor", recording)
     reports = []
     for workers in ("1", "2"):
         out = tmp_path / workers
@@ -881,7 +895,9 @@ def test_sweep_with_tables_cleared_every_few_calls_keeps_its_bytes(tmp_path, mon
         reports.append((out / "verify-oracle.jsonl").read_bytes())
     assert hashlib.sha256(reports[0]).hexdigest() == ORACLE_K3_SHA
     assert reports[1] == reports[0]
-    assert max(map(len, (oracle._IDS, oracle._CONTENT, oracle._SHARED, oracle._FIBERS))) <= 16
+    # the certificates count against the cap like every other table
+    assert max(table_sizes()) <= 16
+    assert max(map(max, sizes)) <= 16 and any(row[-1] for row in sizes)
 
 
 def test_equal_factor_supports_are_held_once():
@@ -889,7 +905,42 @@ def test_equal_factor_supports_are_held_once():
     # Support caches are kept once, not once per key
     a, b = n_support(3), n_support(3)
     assert a == b and a is not b
-    assert oracle._shared(a) is oracle._shared(b)
+    s = s_support(2, 1, 2)
+    predicted = fiber_reversal(s, 0, SUCCESSOR)
+    for left in (a, b):
+        assert oracle._certified_tensor(left, 1, s, predicted, "gamma", PRIME_CFG) == ()
+    (key,) = oracle._TABLES.certificates
+    assert key[0] is a and oracle._TABLES.share(b) is a
+
+
+def test_a_drop_during_a_call_leaves_that_call_alone(monkeypatch):
+    # a call keeps the tables it took on entry, so dropping them between its
+    # two factors leaves it every id it has made
+    expected = oracle_commutativity_check(2, 2, 2, 1, 2)
+    clear_tables()
+    standard_fibers, drops = oracle._standard_fibers, []
+
+    def dropping(support, axis, tables):
+        fibers = standard_fibers(support, axis, tables)
+        oracle._TABLES = None
+        drops.append(tables)
+        return fibers
+
+    monkeypatch.setattr(oracle, "_standard_fibers", dropping)
+    assert oracle_commutativity_check(2, 2, 2, 1, 2) == expected
+    assert len(drops) == 4
+
+
+def test_certificates_are_held_per_field(certified):
+    # a certificate of one field is never read back in another: each field
+    # switch starts new tables, and the old field's are not kept
+    misses = []
+    for cfg in (PRIME_CFG, PRIME_CFG, RAT_CFG, RAT_CFG, PRIME_CFG):
+        before = len(certified)
+        assert oracle_unit_check(3, 2, 2, cfg).passed
+        misses.append(len(certified) - before)
+    assert misses == [1, 0, 1, 0, 1]
+    assert [module.config for module in certified] == [PRIME_CFG, RAT_CFG, PRIME_CFG]
 
 
 def test_sweep_modules_store_arrows_only_between_nonzero_vertices(monkeypatch):
