@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import families
@@ -75,17 +76,15 @@ def cmd_verify(args) -> int:
     # an unusable --out is refused before the sweep, not after it
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rf = run_sweep(config)
-    path = write_report_file(rf, out_dir / f"verify-{args.suite}.jsonl")
-    status = "all passed" if rf.all_passed else f"{rf.failed} FAILED"
-    print(f"{rf.total} checks, {status}; report: {path}")
-    print(f"elapsed: {rf.total_elapsed_s:.2f}s", file=sys.stderr)
-    if not rf.all_passed:
-        for r in rf.reports:
-            if not r.passed:
-                print(f"FAIL {r.verifier} {r.params} ({len(r.witnesses)} witnesses)")
-        return 1
-    return 0
+    path = out_dir / f"verify-{args.suite}.jsonl"
+    start = time.perf_counter()
+    total, failed = write_report_file(config.echo(), run_sweep(config), path)
+    status = f"{len(failed)} FAILED" if failed else "all passed"
+    print(f"{total} checks, {status}; report: {path}")
+    print(f"elapsed: {time.perf_counter() - start:.2f}s", file=sys.stderr)
+    for r in failed:
+        print(f"FAIL {r.verifier} {r.params} ({len(r.witnesses)} witnesses)")
+    return 1 if failed else 0
 
 
 def cmd_roundtrip(args) -> int:

@@ -2,19 +2,22 @@
 
 A Report records one verifier run: what was checked, the cardinalities of
 the two compared sides, and witness coordinates from the symmetric
-difference; it passed exactly when there is no witness.  A ReportFile
-bundles a sweep.  The persisted format is one JSON record per line: a header
-echoing the configuration, one record per report, and a summary trailer.
-Only the sweep as a whole is timed, and that total is kept in memory, so the
-file bytes are reproducible across runs and worker counts for a fixed
-configuration and tool version.
+difference; it passed exactly when there is no witness.  The persisted
+format is one JSON record per line: a header echoing the configuration, one
+record per report, and a summary trailer.  A sweep is written as its reports
+arrive, and the file holds no timing, so its bytes are reproducible across
+runs and worker counts for a fixed configuration and tool version.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -64,36 +67,6 @@ def compare_supports(check: str, left: Support, right: Support) -> list[Witness]
     ]
 
 
-@dataclass
-class ReportFile:
-    tool: str
-    version: str
-    config: dict
-    reports: list[Report]
-    total: int
-    passed: int
-    failed: int
-    total_elapsed_s: float
-
-    @classmethod
-    def from_reports(cls, config: dict, reports: list[Report], total_elapsed_s: float) -> "ReportFile":
-        passed = sum(1 for r in reports if r.passed)
-        return cls(
-            tool=TOOL,
-            version=__version__,
-            config=dict(config),
-            reports=list(reports),
-            total=len(reports),
-            passed=passed,
-            failed=len(reports) - passed,
-            total_elapsed_s=total_elapsed_s,
-        )
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
-
 def report_record(report: Report) -> dict:
     return {
         "record": "report",
@@ -109,28 +82,47 @@ def report_record(report: Report) -> dict:
     }
 
 
-def render_report_file(rf: ReportFile) -> str:
-    """The persisted line-delimited form; deterministic for a fixed config."""
-    lines = [
-        json.dumps(
-            {"record": "header", "tool": rf.tool, "version": rf.version, "config": rf.config},
-            sort_keys=True,
-        )
-    ]
-    lines += [json.dumps(report_record(r), sort_keys=True) for r in rf.reports]
-    lines.append(
-        json.dumps(
-            {"record": "summary", "total": rf.total, "passed": rf.passed, "failed": rf.failed},
-            sort_keys=True,
-        )
-    )
-    return "\n".join(lines) + "\n"
+def write_reports(config: dict, reports: Iterable[Report], out: TextIO) -> tuple[int, list[Report]]:
+    """Write the header, a line per report as it arrives, and the summary
+    tallied on the way; returns the report count and the failed reports."""
+
+    def line(record: dict) -> None:
+        out.write(json.dumps(record, sort_keys=True) + "\n")
+
+    line({"record": "header", "tool": TOOL, "version": __version__, "config": config})
+    total, failed = 0, []
+    for report in reports:
+        line(report_record(report))
+        total += 1
+        if not report.passed:
+            failed.append(report)
+    line({"record": "summary", "total": total, "passed": total - len(failed), "failed": len(failed)})
+    return total, failed
 
 
-def write_report_file(rf: ReportFile, path: str | Path) -> Path:
+def render_report_file(config: dict, reports: Iterable[Report]) -> str:
+    """The persisted form as one string; deterministic for a fixed config."""
+    out = io.StringIO()
+    write_reports(config, reports, out)
+    return out.getvalue()
+
+
+def write_report_file(
+    config: dict, reports: Iterable[Report], path: str | Path
+) -> tuple[int, list[Report]]:
+    """Stream the reports into ``<path>.part`` and rename it to path on
+    success; on any failure remove it, so a crash leaves neither a half
+    report nor a clobbered older one."""
     path = Path(path)
-    path.write_text(render_report_file(rf))
-    return path
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w") as out:
+            result = write_reports(config, reports, out)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    os.replace(part, path)
+    return result
 
 
 def read_report_file(path: str | Path) -> list[dict]:

@@ -1,19 +1,19 @@
 """Parameter sweeps behind the verify command, with an optional worker pool.
 
 Tasks are (verifier name, parameter dict) pairs built in a fixed canonical
-order; results land in the report file in that order whatever the worker
+order; the sweep yields their reports in that order whatever the worker
 count, so files are reproducible.
 """
 
 from __future__ import annotations
 
 import os
-import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 from . import families, k0, oracle
 from .oracle import PRIME, RATIONAL, FieldConfig
-from .reports import Report, ReportFile
+from .reports import Report
 
 SUITES = ("cooperad", "anticyclic", "oracle", "all")
 
@@ -194,8 +194,8 @@ def build_tasks(config: SweepConfig) -> list[Task]:
     return tasks
 
 
-def run_sweep(config: SweepConfig) -> ReportFile:
-    start = time.perf_counter()
+def run_sweep(config: SweepConfig) -> Iterator[Report]:
+    """Yield the reports in task order; nothing runs until the first is asked for."""
     tasks = build_tasks(config)
     # the executor starts its workers up front, so never ask for more than
     # the machine or the sweep can use
@@ -205,7 +205,6 @@ def run_sweep(config: SweepConfig) -> ReportFile:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_task, tasks, chunksize=8))
+            yield from pool.map(run_task, tasks, chunksize=8)
     else:
-        reports = [run_task(t) for t in tasks]
-    return ReportFile.from_reports(config.echo(), reports, time.perf_counter() - start)
+        yield from map(run_task, tasks)

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +191,33 @@ def test_verify_failed_identity_exit_1(tmp_path, capsys, monkeypatch):
     assert failing and failing[0]["witnesses"][0]["where"] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("earlier", [False, True])
+def test_verify_crash_leaves_no_partial_report(tmp_path, capsys, monkeypatch, earlier):
+    import quiverdias.sweeps as sweeps
+
+    path = tmp_path / "verify-anticyclic.jsonl"
+    if earlier:
+        assert main(["verify", "--suite", "anticyclic", "--max", "2", "--out", str(tmp_path)]) == 0
+        before = path.read_bytes()
+    border = sweeps._VERIFIERS["border"]
+    calls = []
+
+    def crash_on_third(**params):
+        calls.append(params)
+        if len(calls) == 3:
+            raise RuntimeError("seeded crash")
+        return border(**params)
+
+    monkeypatch.setitem(sweeps._VERIFIERS, "border", crash_on_third)
+    with pytest.raises(RuntimeError, match="seeded crash"):
+        main(["verify", "--suite", "anticyclic", "--max", "2", "--out", str(tmp_path)])
+    assert len(calls) == 3
+    # no part file, and no report unless an earlier one, byte for byte
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if earlier else [])
+    if earlier:
+        assert path.read_bytes() == before
+
+
 def test_verify_config_error_exit_2(capsys):
     assert main(["verify", "--suite", "oracle", "--max", "2", "--oracle-max", "5"]) == 2
     assert "oracle max" in capsys.readouterr().err
@@ -268,11 +297,16 @@ def test_roundtrip_missing_file_exit_2(tmp_path):
 
 
 def test_installed_module_invocation():
+    # the child does not see the path pytest adds to its own sys.path
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "quiverdias.cli", "support", "--family", "n", "--n", "2",
          "--format", "ascii"],
         capture_output=True,
         text=True,
+        env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("#") == 3

@@ -846,7 +846,7 @@ def test_certificates_build_each_standard_module_once(monkeypatch, certified):
 
     monkeypatch.setattr(oracle, "standard_module", counting)
     monkeypatch.setattr(oracle, "_certified_tensor", keyed)
-    assert run_sweep(SweepConfig(suite="oracle", max_m=2, oracle_max=2)).all_passed
+    assert all(r.passed for r in run_sweep(SweepConfig(suite="oracle", max_m=2, oracle_max=2)))
     factors = {(s, cfg) for (s1, _, s2, cfg), _ in misses for s in (s1, s2)}
     sides = {side for (s1, a1, s2, cfg), _ in misses for side in ((s1, a1, cfg), (s2, 0, cfg))}
     # some supports are tensored along two axes, and each is built once
@@ -957,7 +957,7 @@ def test_sweep_modules_store_arrows_only_between_nonzero_vertices(monkeypatch):
 
     monkeypatch.setattr(oracle, "standard_module", recording(oracle.standard_module))
     monkeypatch.setattr(oracle, "_tensor", recording(oracle._tensor))
-    assert run_sweep(SweepConfig(suite="oracle", max_m=2, oracle_max=2)).all_passed
+    assert all(r.passed for r in run_sweep(SweepConfig(suite="oracle", max_m=2, oracle_max=2)))
     assert len(modules) > 100
     assert all(stores_only_nonzero_arrows(m) for m in modules)
 

@@ -11,6 +11,8 @@ import pytest
 
 import quiverdias.sweeps as sweeps
 
+from quiverdias import __version__
+from quiverdias.cli import main
 from quiverdias.families import n_support
 from quiverdias.oracle import FieldConfig
 from quiverdias.reports import (
@@ -57,27 +59,49 @@ def test_compare_supports_shape_mismatch_is_single_witness():
 
 def test_report_file_counts(tmp_path):
     config = SweepConfig(suite="anticyclic", max_m=2)
-    rf = run_sweep(config)
-    assert rf.total == len(rf.reports)
-    assert rf.passed + rf.failed == rf.total
-    assert rf.all_passed
-    path = write_report_file(rf, tmp_path / "r.jsonl")
-    records = read_report_file(path)
+    reports = list(run_sweep(config))
+    total, failed = write_report_file(config.echo(), reports, tmp_path / "r.jsonl")
+    assert total == len(reports)
+    assert failed == [r for r in reports if not r.passed]
+    assert not failed  # all passed
+    records = read_report_file(tmp_path / "r.jsonl")
     assert records[0]["record"] == "header"
-    assert records[0]["version"] == rf.version
+    assert records[0]["version"] == __version__
     assert records[-1] == {
         "record": "summary",
-        "total": rf.total,
-        "passed": rf.passed,
-        "failed": rf.failed,
+        "total": total,
+        "passed": total - len(failed),
+        "failed": len(failed),
     }
+    assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]  # no part file left
 
 
-def test_render_report_file_has_no_timing_fields():
-    rf = run_sweep(SweepConfig(suite="anticyclic", max_m=2))
-    text = render_report_file(rf)
+def test_render_report_file_has_no_timing_fields(tmp_path, capsys):
+    config = SweepConfig(suite="anticyclic", max_m=2)
+    text = render_report_file(config.echo(), run_sweep(config))
     assert "elapsed" not in text
-    assert rf.total_elapsed_s > 0  # kept in memory only
+    # the CLI writes the same bytes and prints the elapsed time to stderr only
+    assert main(["verify", "--suite", "anticyclic", "--max", "2", "--out", str(tmp_path)]) == 0
+    assert "elapsed: " in capsys.readouterr().err
+    assert (tmp_path / "verify-anticyclic.jsonl").read_text() == text
+
+
+def test_serial_sweep_is_lazy(monkeypatch):
+    calls = []
+
+    def counted(name, verifier):
+        def run(**params):
+            calls.append(name)
+            return verifier(**params)
+
+        return run
+
+    for name, verifier in list(sweeps._VERIFIERS.items()):
+        monkeypatch.setitem(sweeps._VERIFIERS, name, counted(name, verifier))
+    reports = run_sweep(SweepConfig(suite="anticyclic", max_m=2))
+    assert calls == []
+    assert next(reports).verifier == "border"
+    assert calls == ["border"]
 
 
 def test_sweep_config_validation():
@@ -139,7 +163,8 @@ def test_oracle_tasks_run_both_fields():
 
 def test_report_bytes_are_pinned():
     # fails when task order or the report format drifts
-    text = render_report_file(run_sweep(SweepConfig(suite="all", max_m=2)))
+    config = SweepConfig(suite="all", max_m=2)
+    text = render_report_file(config.echo(), run_sweep(config))
     assert (
         hashlib.sha256(text.encode()).hexdigest()
         == "e109685b60fbad802a20401911351fab454942d34c3370f65ec44fd1fb514efd"
@@ -199,14 +224,15 @@ def test_worker_pool_is_bounded(monkeypatch):
     three_tasks = SweepConfig(suite="anticyclic", max_m=1, workers=100_000)
     assert len(build_tasks(three_tasks)) == 3
 
+    # the sweep is a generator: the pool is built when it is consumed
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
-    assert run_sweep(many).all_passed
+    assert all(r.passed for r in run_sweep(many))
     assert sizes == [4]  # clamped to the cores
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
-    assert run_sweep(three_tasks).all_passed
+    assert all(r.passed for r in run_sweep(three_tasks))
     assert sizes == [4, 3]  # clamped to the tasks
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)
-    assert run_sweep(many).all_passed
+    assert all(r.passed for r in run_sweep(many))
     assert sizes == [4, 3]  # core count unknown: serial, no pool
 
 
