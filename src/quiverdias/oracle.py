@@ -127,18 +127,23 @@ def standard_module(support: Support, config: FieldConfig = FieldConfig()) -> Qu
     return indicator_module(support, config)
 
 
-def _composite(F, second: Matrix | None, first: Matrix | None):
-    """second . first, or None when a factor is missing or the product is
-    zero.  A 1x1 product is a normalized scalar, whichever factors gave it,
-    so composites of one square compare equal exactly when their maps do."""
-    if first is None or second is None:
-        return None
-    if len(second) == len(first) == len(first[0]) == 1:
-        return F.norm(second[0][0] * first[0][0]) or None
+def _composite(F, second: Matrix, first: Matrix) -> Matrix | None:
+    """second . first with normalized entries, or None when it is zero."""
     prod = mat_mul(F, second, first)
-    if len(prod) == len(prod[0]) == 1:
-        return prod[0][0] or None
     return prod if any(map(any, prod)) else None
+
+
+def _arrows(module: QuiverModule) -> dict[Point, list]:
+    """One pass over the maps: for each vertex an arrow leaves, per axis,
+    that arrow as (target, matrix, its entry when 1x1 else None), or None."""
+    axes = module.shape.axes
+    table: dict[Point, list] = {}
+    for (base, a), mat in module.maps.items():
+        head = base[:a] + (base[a] + 1,) + base[a + 1 :]
+        src, dst = (base, head) if axes[a].polarity == PLAIN else (head, base)
+        legs = table.get(src) or table.setdefault(src, [None] * len(axes))
+        legs[a] = (dst, mat, mat[0][0] if len(mat) == len(mat[0]) == 1 else None)
+    return table
 
 
 def check_relations(module: QuiverModule) -> list[SquareViolation]:
@@ -146,46 +151,35 @@ def check_relations(module: QuiverModule) -> list[SquareViolation]:
     base, then by axes.
 
     Both composites leave the square's source corner, which is low on plain
-    axes and high on op axes.  Arrows are stored only between vertices of
-    positive dimension, so only squares with such a source are visited, and
-    a square where each path misses an arrow commutes (both composites are
-    zero) without a product being formed.
+    axes and high on op axes, so each square is read from the arrow table
+    of its source (see _arrows).  Arrows are stored only between vertices
+    of positive dimension, and a square where each path misses an arrow
+    commutes (both composites are zero) without a product being formed.
     """
     F = module.config.field
-    maps = module.maps
-    axes = module.shape.axes
-    k = len(axes)
-    lengths = [ax.length for ax in axes]
-    step = [ax.step for ax in axes]  # from the source corner along each axis
-    pairs = list(itertools.combinations(range(k), 2))
+    norm = F.norm
+    table = _arrows(module)
+    pairs = list(itertools.combinations(range(module.shape.arity), 2))
     out: list[SquareViolation] = []
-    for src, d in module.dims.items():
-        if not d:
-            continue
-        # along each axis whose target corner stays in the box, the lower
-        # corner of the arrow leaving the source, and that arrow
-        low: list[Point | None] = [None] * k
-        leg: list[Matrix | None] = [None] * k
-        for t in range(k):
-            c = src[t] if step[t] > 0 else src[t] - 1
-            if 1 <= c < lengths[t]:
-                low[t] = src[:t] + (c,) + src[t + 1 :]
-                leg[t] = maps.get((low[t], t))
+    for src, legs in table.items():
+        # the arrows leaving the corner each arrow from the source reaches
+        mids = [leg and table.get(leg[0]) for leg in legs]
         for a, b in pairs:
-            lo_a, lo_b = low[a], low[b]
-            if lo_a is None or lo_b is None:
+            second_a, second_b = mids[a] and mids[a][b], mids[b] and mids[b][a]
+            if not (second_a or second_b):
                 continue
-            # each path's second arrow leaves the corner its first reached
-            first_a, first_b = leg[a], leg[b]
-            second_a = second_b = None
-            if first_a is not None:
-                second_a = maps.get((lo_b[:a] + (src[a] + step[a],) + lo_b[a + 1 :], b))
-            if first_b is not None:
-                second_b = maps.get((lo_a[:b] + (src[b] + step[b],) + lo_a[b + 1 :], a))
-            if second_a is None and second_b is None:
-                continue
-            if _composite(F, second_a, first_a) != _composite(F, second_b, first_b):
-                out.append(SquareViolation(lo_a[:b] + (lo_b[b],) + lo_a[b + 1 :], a, b))
+            first_a, first_b = legs[a], legs[b]
+            scalars = second_a and second_b and (second_a[2], first_a[2], second_b[2], first_b[2])
+            if scalars and None not in scalars:
+                # four 1x1 arrows: the composites agree when they differ by zero
+                x, y, u, v = scalars
+                commutes = not norm(x * y - u * v)
+            else:
+                commutes = (second_a and _composite(F, second_a[1], first_a[1])) == (
+                    second_b and _composite(F, second_b[1], first_b[1])
+                )
+            if not commutes:
+                out.append(SquareViolation(tuple(map(min, src, (second_a or second_b)[0])), a, b))
     out.sort(key=lambda v: (v.base, v.axis_a, v.axis_b))
     return out
 
@@ -426,6 +420,11 @@ def _tensor(fibers1: tuple, fibers2: tuple, out_shape: Shape, k1: int, tables: _
     return QuiverModule(out_shape, tables.config, dims, maps)
 
 
+def _indicator_dims(module: QuiverModule, support: Support) -> bool:
+    """The nonzero dims are one on the support's points and nowhere else."""
+    return {p: d for p, d in module.dims.items() if d} == dict.fromkeys(support.points, 1)
+
+
 def iso_to_standard(module: QuiverModule, support: Support) -> bool:
     """Decide whether the module is isomorphic to the standard module of the
     support.
@@ -433,29 +432,36 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
     Requires the indicator dimension vector, nonzero scalars on every
     adjacent-in-support arrow, and a rescaling of basis vectors along a
     spanning forest that turns every remaining adjacent arrow into one.
+    The arrows are read in one pass over the maps, and must meet every
+    adjacent pair of support points, as counted on the mask.  When they are
+    all one already, no rescaling is needed and no forest is walked.
     """
-    if module.shape != support.shape:
-        return False
-    points, point_set, maps = support.points, support.point_set, module.maps
-    if {p: d for p, d in module.dims.items() if d} != dict.fromkeys(points, 1):
+    if module.shape != support.shape or not _indicator_dims(module, support):
         return False
     F = module.config.field
     norm = F.norm
+    points, point_set, mask = support.points, support.point_set, support.mask
     plain = [ax.polarity == PLAIN for ax in module.shape.axes]
+    arrows = []
+    for (p, a), mat in module.maps.items():
+        q = p[:a] + (p[a] + 1,) + p[a + 1 :]
+        if p not in point_set or q not in point_set:
+            continue
+        scalar = norm(mat[0][0]) if mat else 0
+        if not scalar:
+            return False
+        arrows.append((p, q, a, scalar))
+    along = [mask.swapaxes(0, a) for a in range(mask.ndim)]
+    if len(arrows) != sum(np.count_nonzero(m[1:] & m[:-1]) for m in along):
+        return False
+    if all(arrow[3] == 1 for arrow in arrows):
+        return True
 
     edges: dict[Point, list[tuple[Point, Point, Point, object]]] = {p: [] for p in points}
-    for p in points:
-        for a, forward in enumerate(plain):
-            q = p[:a] + (p[a] + 1,) + p[a + 1 :]
-            if q not in point_set:
-                continue
-            src, dst = (p, q) if forward else (q, p)
-            mat = maps.get((p, a))
-            scalar = norm(mat[0][0]) if mat else 0
-            if not scalar:
-                return False
-            edges[p].append((q, src, dst, scalar))
-            edges[q].append((p, src, dst, scalar))
+    for p, q, a, scalar in arrows:
+        src, dst = (p, q) if plain[a] else (q, p)
+        edges[p].append((q, src, dst, scalar))
+        edges[q].append((p, src, dst, scalar))
 
     scale: dict[Point, object] = {}
     for root in points:
@@ -498,7 +504,7 @@ def _dims_witnesses(module: QuiverModule, expected: Support, check: str) -> list
 def _certify(module: QuiverModule, expected: Support) -> list[Witness]:
     """Dims match the indicator, relations hold, and the module is standard;
     each witness is named by the part of this certificate it fails."""
-    witnesses = _dims_witnesses(module, expected, "dims")
+    witnesses = [] if _indicator_dims(module, expected) else _dims_witnesses(module, expected, "dims")
     witnesses += [
         Witness("relations", v.base, f"axes ({v.axis_a}, {v.axis_b})")
         for v in check_relations(module)

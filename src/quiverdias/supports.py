@@ -87,8 +87,8 @@ class Shape:
 class Support:
     """Point set inside the box of a shape: the read-only bool mask, a copy of
     the one given, has mask[c1 - 1, ..., ck - 1] set when (c1, ..., ck) is in
-    it.  points (sorted), point_set and size derive from the mask.  Build
-    from a point collection through make_support."""
+    it.  points (sorted), point_set, size and the hash are computed from
+    the mask once each.  Build from a point collection through make_support."""
 
     shape: Shape
     mask: np.ndarray
@@ -120,8 +120,16 @@ class Support:
             return NotImplemented
         return self.shape == other.shape and np.array_equal(self.mask, other.mask)
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.shape, self.mask.tobytes()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # shape and mask only: the hash depends on the process's hash seed
+        return Support, (self.shape, self.mask)
 
 
 @dataclass(frozen=True)

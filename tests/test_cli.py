@@ -152,6 +152,17 @@ def test_oracle_report_bytes_are_pinned(tmp_path):
     )
 
 
+
+def test_rational_oracle_report_bytes_are_pinned(tmp_path):
+    # the k=3 oracle sweep over Q alone, 189 checks: the rational path of the
+    # tensor body and of the certificate
+    assert main(["verify", "--suite", "oracle", "--max", "3", "--oracle-max", "3",
+                 "--field", "rational", "--out", str(tmp_path)]) == 0
+    assert (
+        hashlib.sha256((tmp_path / "verify-oracle.jsonl").read_bytes()).hexdigest()
+        == "b7e3179d973b9389afac0465cdce41db39ab32529c4515f6326362902965f380"
+    )
+
 def test_support_report_bytes_are_pinned(tmp_path):
     # the support and class layers at the sizes the benchmark runs (the hashes
     # it pins for its cooperad-m4 and anticyclic-m7 workloads), and the class

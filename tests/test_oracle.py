@@ -32,6 +32,7 @@ from quiverdias.supports import (
     PLAIN,
     SUCCESSOR,
     Axis,
+    Point,
     Shape,
     Support,
     contract,
@@ -754,6 +755,131 @@ def test_explicit_zero_dims_read_as_missing():
             )
 
 
+def reference_iso_to_standard(module, support):
+    """iso_to_standard probing each support point's neighbours for its
+    edges, then rescaling along a depth-first spanning forest."""
+    if module.shape != support.shape:
+        return False
+    points, point_set, maps = support.points, support.point_set, module.maps
+    if {p: d for p, d in module.dims.items() if d} != dict.fromkeys(points, 1):
+        return False
+    F = module.config.field
+    norm = F.norm
+    plain = [ax.polarity == PLAIN for ax in module.shape.axes]
+
+    edges: dict[Point, list[tuple[Point, Point, Point, object]]] = {p: [] for p in points}
+    for p in points:
+        for a, forward in enumerate(plain):
+            q = p[:a] + (p[a] + 1,) + p[a + 1 :]
+            if q not in point_set:
+                continue
+            src, dst = (p, q) if forward else (q, p)
+            mat = maps.get((p, a))
+            scalar = norm(mat[0][0]) if mat else 0
+            if not scalar:
+                return False
+            edges[p].append((q, src, dst, scalar))
+            edges[q].append((p, src, dst, scalar))
+
+    scale: dict[Point, object] = {}
+    for root in points:
+        if root in scale:
+            continue
+        scale[root] = 1
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, src, dst, lam in edges[x]:
+                if y in scale:
+                    # non-forest edge: the rescaled scalar must come out one
+                    if norm(lam * scale[src]) != scale[dst]:
+                        return False
+                    continue
+                # forest edge: choose the scale making the arrow one
+                if y == dst:
+                    scale[y] = norm(lam * scale[x])
+                else:
+                    scale[y] = norm(F.inv(lam) * scale[x])
+                stack.append(y)
+    return True
+
+
+def gauged(F, scale, p, q, forward):
+    """The scalar of the arrow between p and q, q = p + one step, that
+    rescaling by scale turns into one: scale[dst] / scale[src]."""
+    src, dst = (p, q) if forward else (q, p)
+    return F.norm(scale[dst] * F.inv(scale[src]))
+
+
+@st.composite
+def iso_inputs(draw, cfg, scalars):
+    """A support of a random 2- or 3-axis box, most points in, so that some
+    have holes and some cycles; a module with the indicator dims but now and
+    then one point changed, some zeros explicit; on every arrow of the box,
+    also those that leave the support, a scalar from the palette, or one a
+    random rescaling turns into one, or none."""
+    F = cfg.field
+    k = draw(st.integers(2, 3))
+    polarities = draw(st.lists(st.sampled_from((PLAIN, OP)), min_size=k, max_size=k))
+    lengths = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    shape = Shape(tuple(Axis(n, pol) for n, pol in zip(lengths, polarities)))
+    box = list(shape.iter_points())
+    support = make_support(shape, [p for p in box if draw(st.integers(0, 3))])
+    dims = {p: 1 if p in support else 0 for p in box if p in support or draw(st.booleans())}
+    if not draw(st.integers(0, 7)):
+        dims[draw(st.sampled_from(box))] = draw(st.integers(0, 2))
+    nonzero = [s for s in scalars if F.norm(s)]
+    scale = {p: draw(st.sampled_from(nonzero)) for p in box}
+    maps = {}
+    for p in box:
+        for a, ax in enumerate(shape.axes):
+            q = p[:a] + (p[a] + 1,) + p[a + 1 :]
+            if q[a] > ax.length:
+                continue
+            kind = draw(st.integers(0, 9))
+            if kind == 0:
+                continue
+            forward = ax.polarity == PLAIN
+            scalar = draw(st.sampled_from(scalars)) if kind < 3 else gauged(F, scale, p, q, forward)
+            maps[(p, a)] = [[scalar]]
+    return QuiverModule(shape, cfg, dims, maps), support
+
+
+@pytest.mark.parametrize("cfg, scalars", FIELD_CASES, ids=["prime", "rational"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_iso_to_standard_matches_neighbour_probing(cfg, scalars, data):
+    module, support = data.draw(iso_inputs(cfg, scalars))
+    assert iso_to_standard(module, support) == reference_iso_to_standard(module, support)
+
+
+RING = [p for p in itertools.product((1, 2, 3), repeat=2) if p != (2, 2)]
+
+
+@pytest.mark.parametrize("cfg, scalars", FIELD_CASES, ids=["prime", "rational"])
+@pytest.mark.parametrize("polarities", list(itertools.product((PLAIN, OP), repeat=2)))
+def test_iso_on_the_ring_around_a_hole(cfg, scalars, polarities):
+    # the 3 x 3 box without its centre: one cycle of eight arrows, which no
+    # spanning forest covers, so the arrow it leaves out decides
+    F = cfg.field
+    ring = make_support(Shape(tuple(Axis(3, pol) for pol in polarities)), RING)
+    module = indicator_module(ring, cfg)
+    assert len(module.maps) == 8
+    assert iso_to_standard(module, ring) and reference_iso_to_standard(module, ring)
+    for arrow in module.maps:
+        scaled = indicator_module(ring, cfg)
+        scaled.maps[arrow] = [[2]]
+        assert not iso_to_standard(scaled, ring) and not reference_iso_to_standard(scaled, ring)
+    nonzero = [s for s in scalars if F.norm(s)]
+    scale = {p: nonzero[i % len(nonzero)] for i, p in enumerate(RING)}
+    rescaled = indicator_module(ring, cfg)
+    for p, a in rescaled.maps:
+        q = p[:a] + (p[a] + 1,) + p[a + 1 :]
+        rescaled.maps[(p, a)] = [[gauged(F, scale, p, q, polarities[a] == PLAIN)]]
+    assert any(F.norm(mat[0][0]) != 1 for mat in rescaled.maps.values())
+    assert iso_to_standard(rescaled, ring) and reference_iso_to_standard(rescaled, ring)
+
+
 # --- packaged oracle cross-checks -------------------------------------------------
 
 
@@ -961,6 +1087,38 @@ def test_sweep_modules_store_arrows_only_between_nonzero_vertices(monkeypatch):
     assert len(modules) > 100
     assert all(stores_only_nonzero_arrows(m) for m in modules)
 
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["clean", "seeded"])
+def test_sweep_certifies_through_the_public_checks(monkeypatch, seeded):
+    # each certificate miss calls the public check_relations once, and the
+    # public iso_to_standard once unless dims or relations already failed,
+    # so timings taken around those two functions account for the sweep
+    calls = {"check_relations": 0, "iso_to_standard": 0}
+
+    def counting(name, fn):
+        def count(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    certify, misses = oracle._certify, []
+
+    def recording(module, expected):
+        misses.append(certify(module, expected))
+        return misses[-1]
+
+    monkeypatch.setattr(oracle, "_certify", recording)
+    if seeded:
+        monkeypatch.setattr(oracle, "contract", flipped(oracle.contract, (0, 0, 0, 0)))
+    list(run_sweep(SweepConfig(suite="oracle", max_m=2, oracle_max=2)))
+    unfailed = [w for w in misses if not {x.check for x in w} & {"dims", "relations"}]
+    assert calls["check_relations"] == len(misses) > 0
+    assert calls["iso_to_standard"] == len(unfailed)
+    assert (len(unfailed) < len(misses)) == seeded
 
 def test_oracle_nakayama_mu_needs_inner_slot():
     with pytest.raises(ValueError, match="i >= 2"):

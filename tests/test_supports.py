@@ -1,5 +1,11 @@
 """Support calculus: construction, validation, closure, contraction, reversal."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +56,44 @@ def test_triangle_has_triangular_count():
 def test_canonicalization_dedups_and_sorts():
     s = make_support(shape_of(3), [(1,), (1,), (2,)])
     assert s.points == ((1,), (2,))
+
+
+def test_support_hash_is_computed_once(monkeypatch):
+    # equal supports built apart hash equal, and each computes its hash once,
+    # however often it is hashed as a dict key
+    shape = shape_of((3, OP), 2)
+    pts = [(1, 1), (2, 1), (2, 2), (3, 2)]
+    a, b = make_support(shape, pts), make_support(shape, reversed(pts))
+    assert a is not b and a == b and hash(a) == hash(b)
+    shape_hash, calls = Shape.__hash__, []
+
+    def counting(self):
+        calls.append(self)
+        return shape_hash(self)
+
+    monkeypatch.setattr(Shape, "__hash__", counting)
+    c = make_support(shape, pts)
+    calls.clear()
+    assert hash(c) == hash(c) == hash(a) and {c: 1}[a] == 1
+    assert len(calls) == 1
+
+
+def test_pickled_support_hashes_in_the_receiving_process():
+    # a hash depends on the process's hash seed, so a pickled support must not
+    # carry one computed before it was sent to a process with another seed
+    s = make_support(shape_of((3, OP), 2), [(1, 1), (2, 1), (2, 2)])
+    hash(s)
+    seed = os.environ.get("PYTHONHASHSEED", "random")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": str(int(seed) + 1) if seed.isdigit() else "0",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import pickle, sys; from quiverdias.supports import make_support; "
+            "s = pickle.load(sys.stdin.buffer); t = make_support(s.shape, s.points); "
+            "print(s == t and hash(s) == hash(t) and {t: 1}[s])")
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(s),
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"1"]
 
 
 def test_out_of_bounds_point_reports_coordinate():
