@@ -10,7 +10,8 @@ reporting witness points on any disagreement.
 from __future__ import annotations
 
 import functools
-from typing import Callable
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +28,10 @@ from .supports import (
     permute_axes,
 )
 
+# points of the stacked sets of one chunk of a verifier group (see
+# _pair_reports): a chunk's scratch stays a few MiB at any (m, n, p)
+_STACK_POINTS = 1 << 18
+
 # a predicate takes one coordinate per axis, as ints or as broadcasting integer
 # arrays, so clauses are written with & | and np.where, not and / or / if
 Predicate = Callable[..., bool]
@@ -39,24 +44,31 @@ def _require(cond: bool, message: str) -> None:
 
 def _from_predicate(shape: Shape, *clauses: Predicate) -> Support:
     """The box points satisfying any of the clauses, each evaluated once on
-    the 1-based coordinate grids of the box."""
+    the 1-based coordinate grids of the box.  Clauses that broadcast arrays
+    of shape (k, 1, ..., 1) against the grids give k sets, stacked along a
+    new leading plain axis."""
     grids = [g + 1 for g in np.indices(shape.lengths, sparse=True)]
     mask = functools.reduce(np.logical_or, (member(*grids) for member in clauses))
+    if mask.ndim > shape.arity:
+        shape = Shape(tuple(map(Axis, mask.shape[: mask.ndim - shape.arity])) + shape.axes)
     return Support(shape, np.broadcast_to(mask, shape.lengths))
 
 
+@functools.cache
 def triple_shape(m: int, n: int) -> Shape:
-    """The shape [(m+n-1)-op, m, n] carrying the slot-insertion families."""
+    """The shape [(m+n-1)-op, m, n] carrying the slot-insertion families;
+    one object per (m, n), shared by the cached s_support entries."""
     return Shape((Axis(m + n - 1, OP), Axis(m), Axis(n)))
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=8192)
 def s_support(m: int, i: int, n: int) -> Support:
     """Slot-insertion support on [(m+n-1)-op, m, n].
 
     A triple (g, mu, nu) belongs to it when g <= mu below slot i, when
     g <= i+nu-1 on the slot itself, and when g <= mu+n-1 above it.  Cached:
-    a Support is immutable, so callers share one object per argument triple.
+    a Support is immutable, so callers share one object per argument triple;
+    the cache holds every triple of a cooperad sweep up to --max 12 (4,170).
     """
     _require(1 <= i <= m, f"need 1 <= i <= m, got i={i}, m={m}")
     _require(n >= 1, f"need n >= 1, got n={n}")
@@ -129,10 +141,13 @@ def commutativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predic
     ]
 
 
-def reference_commutativity_set(m: int, n: int, p: int, i: int, j: int) -> Support:
-    """Expected support of both parallel compositions, on axes (g, mu, nu, pi)."""
-    _require(1 <= i < j <= m, f"need 1 <= i < j <= m, got i={i}, j={j}, m={m}")
+def reference_commutativity_set(m: int, n: int, p: int, i, j) -> Support:
+    """Expected support of both parallel compositions, on axes (g, mu, nu, pi);
+    for index arrays i and j, one such set per pair along a leading axis."""
+    if not np.all((1 <= np.asarray(i)) & (i < np.asarray(j)) & (j <= m)):
+        raise ValueError(f"need 1 <= i < j <= m, got i={i}, j={j}, m={m}")
     _require(n >= 1 and p >= 1, f"need n, p >= 1, got n={n}, p={p}")
+    i, j = (np.reshape(x, np.shape(x) + (1,) * 4) for x in (i, j))
     return _from_predicate(quad_shape(m, n, p), *commutativity_clauses(m, n, p, i, j))
 
 
@@ -146,56 +161,116 @@ def associativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predic
     ]
 
 
-def reference_associativity_set(m: int, n: int, p: int, i: int, j: int) -> Support:
-    """Expected support of both nested compositions, on axes (g, mu, nu, pi)."""
-    _require(1 <= i <= m, f"need 1 <= i <= m, got i={i}, m={m}")
-    _require(1 <= j <= n, f"need 1 <= j <= n, got j={j}, n={n}")
+def reference_associativity_set(m: int, n: int, p: int, i, j) -> Support:
+    """Expected support of both nested compositions, on axes (g, mu, nu, pi);
+    for index arrays i and j, one such set per pair along a leading axis."""
+    if not np.all((1 <= np.asarray(i)) & (i <= m)):
+        raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
+    if not np.all((1 <= np.asarray(j)) & (j <= n)):
+        raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
     _require(p >= 1, f"need p >= 1, got p={p}")
+    i, j = (np.reshape(x, np.shape(x) + (1,) * 4) for x in (i, j))
     return _from_predicate(quad_shape(m, n, p), *associativity_clauses(m, n, p, i, j))
 
 
-def verify_commutativity(m: int, n: int, p: int, i: int, j: int) -> Report:
-    """Contract the two parallel-composition pairs and compare everything.
+def _composite(top: tuple, a1: int, bottom: tuple, perm: Sequence[int]) -> Support:
+    """For each k, contract(s_support(m1, i1[k], n1), a1, s_support(m2,
+    i2[k], n2), 0) permuted by perm, stacked along a new leading plain axis,
+    where top = (m1, i1, n1) and bottom = (m2, i2, n2) hold slot arrays.
+
+    The distinct slots of each side are stacked along a leading plain axis,
+    and one contract of the two stacks is the stack of all their
+    contractions; each pair gathers its member from it.
+    """
+    stacks, members = [], []
+    for m, slots, n in (top, bottom):
+        distinct = sorted(set(slots.tolist()))
+        masks = np.stack([s_support(m, i, n).mask for i in distinct])
+        stacks.append(Support(Shape((Axis(len(distinct)),) + triple_shape(m, n).axes), masks))
+        members.append(np.searchsorted(distinct, slots))
+    both = contract(stacks[0], a1 + 1, stacks[1], 1)
+    # three axes of the top stack remain, so the bottom's leading axis is axis 3
+    axes = both.shape.axes
+    pairs = Shape((Axis(len(members[0])),) + axes[1:3] + axes[4:])
+    gathered = Support(pairs, both.mask[members[0], :, :, members[1]])
+    return permute_axes(gathered, [0] + [q + 1 for q in perm])
+
+
+def _pair_reports(verifier: str, reference, sides, m: int, n: int, p: int, pairs) -> list[Report]:
+    """One report per slot pair (i, j), from stacks of the pairs' sides(i, j)
+    and reference(m, n, p, i, j).  Pairs run in chunks whose stacks hold at
+    most _STACK_POINTS points, which bounds the scratch memory of a large
+    (m, n, p).  Only a pair whose three members differ builds witnesses."""
+    step = max(1, _STACK_POINTS // math.prod(quad_shape(m, n, p).lengths))
+    reports = []
+    for chunk in (pairs[k : k + step] for k in range(0, len(pairs), step)):
+        i, j = np.array(chunk).T
+        ref = reference(m, n, p, i, j)  # validates the pairs
+        left, right = sides(i, j)
+        flat = [s.mask.reshape(len(chunk), -1) for s in (left, right, ref)]
+        differ = np.ones(len(chunk), dtype=bool)
+        if left.shape == right.shape == ref.shape:
+            differ = (flat[0] != flat[1]).any(axis=1) | (flat[0] != flat[2]).any(axis=1)
+        sizes = zip(*(np.count_nonzero(f, axis=1).tolist() for f in flat[:2]))
+        for k, ((a, b), (left_size, right_size)) in enumerate(zip(chunk, sizes)):
+            witnesses = []
+            if differ[k]:
+                lk, rk, ref_k = (
+                    Support(Shape(s.shape.axes[1:]), s.mask[k]) for s in (left, right, ref)
+                )
+                witnesses = (
+                    compare_supports("left_vs_right", lk, rk)
+                    + compare_supports("left_vs_reference", lk, ref_k)
+                    + compare_supports("right_vs_reference", rk, ref_k)
+                )
+            params = {"m": m, "n": n, "p": p, "i": a, "j": b}
+            reports.append(Report(verifier, params, left_size, right_size, witnesses))
+    return reports
+
+
+def commutativity_group(m: int, n: int, p: int, pairs: Sequence[tuple[int, int]]) -> list[Report]:
+    """Contract the two parallel-composition pairs and compare everything,
+    for the slot pairs (i, j) of one (m, n, p), with one contract per side.
 
     Both contractions are permuted to the canonical axis order
     (g, mu, nu, pi) and compared to each other and to the reference clause
     set; the permutations are certified by that agreement.
     """
-    _require(1 <= i < j <= m, f"need 1 <= i < j <= m, got i={i}, j={j}, m={m}")
-    _require(n >= 1 and p >= 1, f"need n, p >= 1, got n={n}, p={p}")
-    left = permute_axes(
-        contract(s_support(m + p - 1, i, n), 1, s_support(m, j, p), 0), (0, 2, 1, 3)
-    )
-    right = permute_axes(
-        contract(s_support(m + n - 1, j + n - 1, p), 1, s_support(m, i, n), 0), (0, 2, 3, 1)
-    )
-    ref = reference_commutativity_set(m, n, p, i, j)
-    witnesses = (
-        compare_supports("left_vs_right", left, right)
-        + compare_supports("left_vs_reference", left, ref)
-        + compare_supports("right_vs_reference", right, ref)
-    )
-    params = {"m": m, "n": n, "p": p, "i": i, "j": j}
-    return Report("commutativity", params, left.size, right.size, witnesses)
+    def sides(i, j):
+        return (
+            _composite((m + p - 1, i, n), 1, (m, j, p), (0, 2, 1, 3)),
+            _composite((m + n - 1, j + n - 1, p), 1, (m, i, n), (0, 2, 3, 1)),
+        )
+
+    return _pair_reports("commutativity", reference_commutativity_set, sides, m, n, p, pairs)
+
+
+def verify_commutativity(m: int, n: int, p: int, i: int, j: int) -> Report:
+    """commutativity_group on the one slot pair (i, j)."""
+    return commutativity_group(m, n, p, [(i, j)])[0]
+
+
+def associativity_group(m: int, n: int, p: int, pairs: Sequence[tuple[int, int]]) -> list[Report]:
+    """Contract the two nested-composition pairs and compare everything,
+    for the slot pairs (i, j) of one (m, n, p), with one contract per side.
+    The right side's top factor sits at slot t = i + j - 1."""
+    def sides(i, j):
+        return (
+            _composite((m, i, n + p - 1), 2, (n, j, p), (0, 1, 2, 3)),
+            _composite((m + n - 1, i + j - 1, p), 1, (m, i, n), (0, 2, 3, 1)),
+        )
+
+    return _pair_reports("associativity", reference_associativity_set, sides, m, n, p, pairs)
 
 
 def verify_associativity(m: int, n: int, p: int, i: int, j: int) -> Report:
-    """Contract the two nested-composition pairs and compare everything."""
-    _require(1 <= i <= m, f"need 1 <= i <= m, got i={i}, m={m}")
-    _require(1 <= j <= n, f"need 1 <= j <= n, got j={j}, n={n}")
-    _require(p >= 1, f"need p >= 1, got p={p}")
-    left = contract(s_support(m, i, n + p - 1), 2, s_support(n, j, p), 0)
-    right = permute_axes(
-        contract(s_support(m + n - 1, j + i - 1, p), 1, s_support(m, i, n), 0), (0, 2, 3, 1)
-    )
-    ref = reference_associativity_set(m, n, p, i, j)
-    witnesses = (
-        compare_supports("left_vs_right", left, right)
-        + compare_supports("left_vs_reference", left, ref)
-        + compare_supports("right_vs_reference", right, ref)
-    )
-    params = {"m": m, "n": n, "p": p, "i": i, "j": j}
-    return Report("associativity", params, left.size, right.size, witnesses)
+    """associativity_group on the one slot pair (i, j)."""
+    return associativity_group(m, n, p, [(i, j)])[0]
+
+
+# the sweep hands each verifier's whole (m, n, p) group to its group form
+verify_commutativity.group = commutativity_group
+verify_associativity.group = associativity_group
 
 
 def border_reversal_reference(m: int, n: int) -> Support:

@@ -7,6 +7,7 @@ count, so files are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
@@ -96,6 +97,22 @@ def run_task(task: Task) -> Report:
     if verifier is None:
         raise ValueError(f"unknown verifier {name!r}")
     return verifier(**params)
+
+
+def group_tasks(tasks: list[Task]) -> Iterator[list[Task]]:
+    """The contiguous runs of tasks that share a verifier and (m, n, p)."""
+    runs = itertools.groupby(tasks, lambda t: (t[0], *map(t[1].get, ("m", "n", "p"))))
+    return (list(run) for _, run in runs)
+
+
+def run_group(group: list[Task]) -> list[Report]:
+    """The reports of one group in task order: a verifier with a ``group``
+    form takes all of the group's slot pairs in one call."""
+    name, params = group[0]
+    batch = getattr(_VERIFIERS.get(name), "group", None)
+    if batch is None:
+        return [run_task(task) for task in group]
+    return batch(params["m"], params["n"], params["p"], [(d["i"], d["j"]) for _, d in group])
 
 
 # Parameter domains, each in canonical (lexicographic) order.
@@ -204,7 +221,8 @@ def run_sweep(config: SweepConfig) -> Iterator[Report]:
         # imported here: the pool machinery costs every serial run its import
         from concurrent.futures import ProcessPoolExecutor
 
+        # a group goes whole to one worker, whose caches serve all of it
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run_task, tasks, chunksize=8)
+            yield from itertools.chain.from_iterable(pool.map(run_group, group_tasks(tasks)))
     else:
-        yield from map(run_task, tasks)
+        yield from itertools.chain.from_iterable(map(run_group, group_tasks(tasks)))

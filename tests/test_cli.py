@@ -134,6 +134,22 @@ def test_verify_deterministic_across_workers(tmp_path, monkeypatch):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("suite, max_m, digest", [
+    ("cooperad", "6", "4466aa77f3917dc2e3bd9fb1043151a9e682bc161cb58439e077979610682509"),
+    ("all", "3", "f3ddbb8e0a86ff37effb3a5da3544051b8fcc8af7cb770131f51a3d3861e875c"),
+])
+def test_grouped_sweep_bytes_are_pinned_with_one_and_two_workers(tmp_path, monkeypatch, suite,
+                                                                  max_m, digest):
+    # the pool takes whole verifier groups; the bytes are those of the
+    # per-check sweep that these hashes were first pinned from
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["verify", "--suite", suite, "--max", max_m, "--workers", workers,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / f"verify-{suite}.jsonl").read_bytes()).hexdigest() == digest
+
+
 def test_verify_deterministic_across_runs(tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     main(["verify", "--suite", "oracle", "--max", "2", "--out", str(d1)])

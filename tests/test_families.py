@@ -1,5 +1,6 @@
 """Support families and the four identity verifiers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from quiverdias.families import (
     commutativity_clauses,
     interval_support,
     n_support,
+    quad_shape,
     reference_associativity_set,
     reference_commutativity_set,
     regular_support,
@@ -24,6 +26,7 @@ from quiverdias.families import (
     verify_inner,
 )
 from quiverdias.reports import Witness
+from quiverdias.sweeps import group_tasks, nested_domain, parallel_domain, run_group
 from quiverdias.supports import (
     OP,
     PREDECESSOR,
@@ -338,6 +341,24 @@ SEEDED = {
 }
 
 
+def seeding(real, point, pair=None):
+    """real with point flipped in its set for the slot pair, or in its one
+    set when it is called on single slots.  Called with index arrays i and j
+    (the group path), real stacks one set per pair along a leading axis, and
+    the member (i[k], j[k]) == pair is seeded."""
+    def seeded(*args):
+        support = real(*args)
+        index = tuple(c - 1 for c in point)
+        if support.shape.arity > len(point):
+            i, j = args[-2:]
+            index = (list(zip(np.ravel(i).tolist(), np.ravel(j).tolist())).index(pair),) + index
+        mask = support.mask.copy()
+        mask[index] = not mask[index]
+        return Support(support.shape, mask)
+
+    return seeded
+
+
 @pytest.mark.parametrize("verifier_name", sorted(SEEDED))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -350,13 +371,68 @@ def test_seeded_defect_is_named(verifier_name, data):
     name = data.draw(st.sampled_from(sorted(references)))
     reference = getattr(families, name)(*args)
     point = data.draw(st.sampled_from(list(reference.shape.iter_points())))
-    mask = reference.mask.copy()
-    index = tuple(c - 1 for c in point)
-    mask[index] = not mask[index]
-    seeded = Support(reference.shape, mask)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(families, name, lambda *a: seeded)
+        mp.setattr(families, name, seeding(getattr(families, name), point, args[-2:]))
         report = verifier(*args)
     detail = "left only" if point in reference else "right only"
     assert not report.passed
     assert report.witnesses == [Witness(check, point, detail) for check in references[name]]
+
+
+# the cooperad verifiers, the task domain of their sweep groups, and the
+# reference that the group path reads
+GROUPED = {
+    "commutativity": (parallel_domain, "reference_commutativity_set"),
+    "associativity": (nested_domain, "reference_associativity_set"),
+}
+
+
+@st.composite
+def sweep_groups(draw):
+    """The tasks of one sweep group with at least two slot pairs."""
+    name = draw(st.sampled_from(sorted(GROUPED)))
+    domain, reference = GROUPED[name]
+    groups = [g for g in group_tasks([(name, d) for d in domain(4, 4, 4)]) if len(g) >= 2]
+    return name, reference, draw(st.sampled_from(groups))
+
+
+def run_seeded_group(group, reference, seeds):
+    """The sweep's reports for the group with each (pair, point) of seeds
+    flipped in the reference set of that pair."""
+    with pytest.MonkeyPatch.context() as mp:
+        for pair, point in seeds:
+            mp.setattr(families, reference, seeding(getattr(families, reference), point, pair))
+        return run_group(group)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_groups(), st.data())
+def test_seeded_defect_fails_only_its_pair_in_a_group(drawn, data):
+    # one flipped point in the reference of one slot pair of a group: the
+    # sweep's group path fails exactly that pair's report, naming that point
+    # under the same checks, and passes every other pair of the group
+    name, reference, group = drawn
+    params = group[0][1]
+    pairs = [(d["i"], d["j"]) for _, d in group]
+    target = data.draw(st.integers(0, len(pairs) - 1))
+    unseeded = getattr(families, reference)(params["m"], params["n"], params["p"], *pairs[target])
+    point = data.draw(st.sampled_from(list(unseeded.shape.iter_points())))
+    reports = run_seeded_group(group, reference, [(pairs[target], point)])
+    assert [r.verifier for r in reports] == [name] * len(group)
+    assert [r.params for r in reports] == [d for _, d in group]
+    detail = "left only" if point in unseeded else "right only"
+    assert reports[target].witnesses == [
+        Witness(check, point, detail) for check in ("left_vs_reference", "right_vs_reference")
+    ]
+    assert [k for k, r in enumerate(reports) if not r.passed] == [target]
+
+
+@settings(max_examples=30, deadline=None)
+@given(sweep_groups(), st.data())
+def test_seeded_defect_in_every_pair_fails_every_report(drawn, data):
+    # a group reports each of its pairs, not just the first that differs
+    name, reference, group = drawn
+    point = data.draw(st.sampled_from(list(quad_shape(*(group[0][1][k] for k in "mnp")).iter_points())))
+    pairs = [(d["i"], d["j"]) for _, d in group]
+    reports = run_seeded_group(group, reference, [(pair, point) for pair in pairs])
+    assert all(len(r.witnesses) == 2 and r.witnesses[0].where == point for r in reports)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import quiverdias.families as families
+import quiverdias.k0 as k0
 import quiverdias.sweeps as sweeps
 
 from quiverdias import __version__
@@ -29,6 +31,7 @@ from quiverdias.sweeps import (
     nested_domain,
     pair_domain,
     parallel_domain,
+    run_group,
     run_sweep,
     run_task,
     slot_domain,
@@ -102,6 +105,47 @@ def test_serial_sweep_is_lazy(monkeypatch):
     assert calls == []
     assert next(reports).verifier == "border"
     assert calls == ["border"]
+
+
+@pytest.mark.parametrize("suite", sweeps.SUITES)
+def test_sweep_runs_maximal_groups_of_one_verifier_and_parameters(monkeypatch, suite):
+    # the groups the sweep hands out are the contiguous runs of tasks with one
+    # (verifier, m, n, p), and together they are the tasks, in order
+    config = SweepConfig(suite=suite, max_m=3)
+    groups = []
+
+    def recorded(group):
+        groups.append(group)
+        return run_group(group)
+
+    monkeypatch.setattr(sweeps, "run_group", recorded)
+    reports = list(run_sweep(config))
+    tasks = build_tasks(config)
+    assert [task for group in groups for task in group] == tasks
+    keys = [{(name, *map(params.get, "mnp")) for name, params in group} for group in groups]
+    assert all(len(k) == 1 for k in keys)
+    assert all(a != b for a, b in zip(keys, keys[1:]))
+    assert [(r.verifier, r.params) for r in reports if r.verifier in ("commutativity", "associativity")] == [
+        t for t in tasks if t[0] in ("commutativity", "associativity")
+    ]
+
+
+def test_sweep_builds_each_slot_support_once(monkeypatch):
+    # the group path stacks cached slot supports; the cache holds every
+    # distinct one of the sweep, so none is built twice
+    real = families.s_support
+    real.cache_clear()
+    k0.nabla_k0.cache_clear()
+    seen = set()
+
+    def recorded(m, i, n):
+        seen.add((m, i, n))
+        return real(m, i, n)
+
+    monkeypatch.setattr(families, "s_support", recorded)
+    monkeypatch.setattr(k0, "s_support", recorded)
+    assert all(r.passed for r in run_sweep(SweepConfig(suite="cooperad", max_m=8)))
+    assert real.cache_info().misses == len(seen) == 1212
 
 
 def test_sweep_config_validation():

@@ -11,8 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverdias.families import interval_support, regular_support
-from quiverdias.reports import Witness, compare_supports
+import quiverdias.families as families
+from quiverdias.families import (
+    associativity_group,
+    commutativity_group,
+    interval_support,
+    reference_associativity_set,
+    reference_commutativity_set,
+    regular_support,
+    s_support,
+    verify_associativity,
+    verify_commutativity,
+)
+from quiverdias.reports import Report, Witness, compare_supports
 from quiverdias.supports import (
     DOWNWARD,
     INJECTIVE,
@@ -33,6 +44,7 @@ from quiverdias.supports import (
     permute_axes,
     validate_standard,
 )
+from quiverdias.sweeps import nested_domain, parallel_domain
 
 # --- point-set reference ------------------------------------------------------
 
@@ -268,3 +280,100 @@ def test_support_copies_a_writable_mask():
     s = Support(Shape((Axis(3),)), mask)
     mask[1] = True
     assert s.points == ((1,), (3,))
+
+
+# --- stacks along a leading plain axis ---------------------------------------
+
+
+def stack(members):
+    return Support(Shape((Axis(len(members)),) + members[0].shape.axes), np.stack([s.mask for s in members]))
+
+
+@st.composite
+def stacked_contract_inputs(draw):
+    """Members of one shape on either side, closed as contract requires,
+    except that one member of one side may be any support."""
+    s1, a1, s2, a2 = draw(contract_inputs())
+    left = [s1] + [draw(closed_supports(s1.shape, a1, UPWARD)) for _ in range(draw(st.integers(0, 2)))]
+    right = [s2] + [draw(closed_supports(s2.shape, a2, DOWNWARD)) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        side = draw(st.sampled_from([left, right]))
+        side[draw(st.integers(0, len(side) - 1))] = draw(supports(side[0].shape))
+    return left, a1, right, a2
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_contract_inputs())
+def test_contract_of_stacks_is_the_stack_of_contracts(inputs):
+    # the group verifiers' kernel: contracting two stacks along their leading
+    # plain axes gives every member contraction, the left member's index at
+    # axis 0 and the right member's after the left member's remaining axes;
+    # an unclosed member raises, naming its fiber with its index in front
+    left, a1, right, a2 = inputs
+    errors = [(side, a, k, ref_first_unclosed(s.points, a, s.shape.axes[a].length, sense))
+              for side, a, members, sense in (("left", a1, left, UPWARD), ("right", a2, right, DOWNWARD))
+              for k, s in enumerate(members)]
+    errors = [e for e in errors if e[3] is not None]
+    if errors:
+        side, a, k, (rest, vals) = errors[0]
+        message = f"{side} support, axis {a + 1}: fiber at {(k + 1,) + rest} is not "
+        with pytest.raises(ClosureError) as err:
+            contract(stack(left), a1 + 1, stack(right), a2 + 1)
+        assert str(err.value) == message + f"{UPWARD if side == 'left' else DOWNWARD}-closed: {sorted(vals)}"
+        return
+    got = contract(stack(left), a1 + 1, stack(right), a2 + 1)
+    at = left[0].shape.arity
+    for k, s1 in enumerate(left):
+        for q, s2 in enumerate(right):
+            one = contract(s1, a1, s2, a2)
+            member = got.mask[k][(slice(None),) * (at - 1) + (q,)]
+            assert np.array_equal(member, one.mask)
+    assert got.shape.axes[0] == Axis(len(left)) and got.shape.axes[at] == Axis(len(right))
+
+
+def per_pair_report(verifier, m, n, p, i, j):
+    """The cooperad verifiers as single-pair kernel calls, one contract per
+    side per pair: the reference the group path is compared with."""
+    if verifier == "commutativity":
+        left = permute_axes(contract(s_support(m + p - 1, i, n), 1, s_support(m, j, p), 0), (0, 2, 1, 3))
+        reference = reference_commutativity_set(m, n, p, i, j)
+    else:
+        left = contract(s_support(m, i, n + p - 1), 2, s_support(n, j, p), 0)
+        reference = reference_associativity_set(m, n, p, i, j)
+    top = j + n - 1 if verifier == "commutativity" else i + j - 1
+    right = permute_axes(contract(s_support(m + n - 1, top, p), 1, s_support(m, i, n), 0), (0, 2, 3, 1))
+    witnesses = (
+        compare_supports("left_vs_right", left, right)
+        + compare_supports("left_vs_reference", left, reference)
+        + compare_supports("right_vs_reference", right, reference)
+    )
+    params = {"m": m, "n": n, "p": p, "i": i, "j": j}
+    return Report(verifier, params, left.size, right.size, witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_group_body_matches_one_pair_calls(data):
+    verifier = data.draw(st.sampled_from(["commutativity", "associativity"]))
+    m, n, p = (data.draw(st.integers(1, 4)) for _ in range(3))
+    domain = parallel_domain if verifier == "commutativity" else nested_domain
+    pairs = [(d["i"], d["j"]) for d in domain(m, n, p) if (d["m"], d["n"], d["p"]) == (m, n, p)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    group, one = {
+        "commutativity": (commutativity_group, verify_commutativity),
+        "associativity": (associativity_group, verify_associativity),
+    }[verifier]
+    reports = group(m, n, p, chosen)
+    assert reports == [one(m, n, p, i, j) for i, j in chosen]
+    assert reports == [per_pair_report(verifier, m, n, p, i, j) for i, j in chosen]
+    assert all(r.passed for r in reports)
+
+
+def test_group_body_runs_large_groups_in_chunks(monkeypatch):
+    # a chunk bound far below one group's stacks splits it into many chunks
+    # without changing a report
+    pairs = [(d["i"], d["j"]) for d in nested_domain(5, 4, 3) if (d["m"], d["n"], d["p"]) == (5, 4, 3)]
+    whole = associativity_group(5, 4, 3, pairs)
+    monkeypatch.setattr(families, "_STACK_POINTS", 3 * 10 * 5 * 4 * 3)
+    assert associativity_group(5, 4, 3, pairs) == whole
+    assert whole == [per_pair_report("associativity", 5, 4, 3, i, j) for i, j in pairs]
