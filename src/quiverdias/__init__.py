@@ -58,7 +58,7 @@ from .oracle import (
     tensor_over,
 )
 from .reports import Report, Witness
-from .serialize import dumps_support, load_support, loads_support, save_support
+from .serialize import dumps_support, loads_support
 from .sweeps import SweepConfig, run_sweep
 
 __all__ = [
@@ -119,7 +119,5 @@ __all__ = [
     "SweepConfig",
     "run_sweep",
     "dumps_support",
-    "load_support",
     "loads_support",
-    "save_support",
 ]

@@ -10,7 +10,6 @@ canonical documents and canonicalizes everything else.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .supports import OP, PLAIN, Axis, Shape, Support, make_support
 
@@ -72,12 +71,3 @@ def loads_support(text: str) -> Support:
         raise ValueError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return support_from_doc(doc)
 
-
-def save_support(support: Support, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(dumps_support(support))
-    return path
-
-
-def load_support(path: str | Path) -> Support:
-    return loads_support(Path(path).read_text())

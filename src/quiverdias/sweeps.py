@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 from . import families, k0, oracle
@@ -99,7 +99,7 @@ def run_task(task: Task) -> Report:
     return verifier(**params)
 
 
-def group_tasks(tasks: list[Task]) -> Iterator[list[Task]]:
+def group_tasks(tasks: Iterable[Task]) -> Iterator[list[Task]]:
     """The contiguous runs of tasks that share a verifier and (m, n, p)."""
     runs = itertools.groupby(tasks, lambda t: (t[0], *map(t[1].get, ("m", "n", "p"))))
     return (list(run) for _, run in runs)
@@ -115,73 +115,63 @@ def run_group(group: list[Task]) -> list[Report]:
     return batch(params["m"], params["n"], params["p"], [(d["i"], d["j"]) for _, d in group])
 
 
-# Parameter domains, each in canonical (lexicographic) order.
+# Parameter domains, each yielded in canonical (lexicographic) order.
 
 
-def parallel_domain(mm: int, mn: int, mp: int) -> list[dict]:
+def parallel_domain(mm: int, mn: int, mp: int) -> Iterator[dict]:
     """Parallel slot pairs: m, n, p within the bounds and 1 <= i < j <= m."""
-    return [
+    return (
         {"m": m, "n": n, "p": p, "i": i, "j": j}
         for m in range(1, mm + 1)
         for n in range(1, mn + 1)
         for p in range(1, mp + 1)
         for i in range(1, m + 1)
         for j in range(i + 1, m + 1)
-    ]
+    )
 
 
-def nested_domain(mm: int, mn: int, mp: int) -> list[dict]:
+def nested_domain(mm: int, mn: int, mp: int) -> Iterator[dict]:
     """Nested slot pairs: m, n, p within the bounds, 1 <= i <= m, 1 <= j <= n."""
-    return [
+    return (
         {"m": m, "n": n, "p": p, "i": i, "j": j}
         for m in range(1, mm + 1)
         for n in range(1, mn + 1)
         for p in range(1, mp + 1)
         for i in range(1, m + 1)
         for j in range(1, n + 1)
-    ]
+    )
 
 
-def pair_domain(mm: int, mn: int) -> list[dict]:
+def either_domain(mm: int, mn: int, mp: int) -> Iterator[dict]:
+    """Slot pairs that are parallel or nested, each once: m, n, p within the
+    bounds, 1 <= i <= m, and i < j <= m or 1 <= j <= n."""
+    return (
+        {"m": m, "n": n, "p": p, "i": i, "j": j}
+        for m in range(1, mm + 1)
+        for n in range(1, mn + 1)
+        for p in range(1, mp + 1)
+        for i in range(1, m + 1)
+        for j in range(1, max(m, n) + 1)
+        if i < j <= m or j <= n
+    )
+
+
+def pair_domain(mm: int, mn: int) -> Iterator[dict]:
     """All (m, n) within the bounds."""
-    return [{"m": m, "n": n} for m in range(1, mm + 1) for n in range(1, mn + 1)]
+    return ({"m": m, "n": n} for m in range(1, mm + 1) for n in range(1, mn + 1))
 
 
-def slot_domain(mm: int, mn: int, first: int) -> list[dict]:
+def slot_domain(mm: int, mn: int, first: int) -> Iterator[dict]:
     """(m, n) within the bounds and a slot first <= i <= m."""
-    return [
+    return (
         {"m": m, "n": n, "i": i}
         for m in range(1, mm + 1)
         for n in range(1, mn + 1)
         for i in range(first, m + 1)
-    ]
-
-
-def _cooperad_tasks(mm: int, mn: int, mp: int) -> list[Task]:
-    parallel, nested = parallel_domain(mm, mn, mp), nested_domain(mm, mn, mp)
-    # the axiom check takes every slot pair that selects either axiom, once
-    either = {tuple(d.values()): d for d in parallel + nested}
-    return (
-        [("commutativity", d) for d in parallel]
-        + [("associativity", d) for d in nested]
-        + [("duality", d) for d in slot_domain(mm, mn, 1)]
-        + [("dias_axioms", either[key]) for key in sorted(either)]
     )
 
 
-def _anticyclic_tasks(mm: int, mn: int) -> list[Task]:
-    pairs, inner = pair_domain(mm, mn), slot_domain(mm, mn, 2)
-    return (
-        [("border", d) for d in pairs]
-        + [("inner", d) for d in inner]
-        + [("border_k0", d) for d in pairs]
-        + [("inner_k0", d) for d in inner]
-        + [("tau_order", {"n": n}) for n in range(1, mm + mn)]
-    )
-
-
-def _oracle_tasks(k: int, config: FieldConfig) -> list[Task]:
-    tasks: list[Task] = []
+def _oracle_tasks(k: int, config: FieldConfig) -> Iterator[Task]:
     # every instance runs over the configured field and over the rationals
     configs = [config]
     if config.kind != RATIONAL:
@@ -190,39 +180,58 @@ def _oracle_tasks(k: int, config: FieldConfig) -> list[Task]:
         # one config per field and sweep: it checked primality when built
         # and keeps its field object across the tasks that share it
         fc = {"config": cfg}
-        tasks += [("oracle_commutativity", {**d, **fc}) for d in parallel_domain(k, k, k)]
-        tasks += [("oracle_associativity", {**d, **fc}) for d in nested_domain(k, k, k)]
+        yield from (("oracle_commutativity", {**d, **fc}) for d in parallel_domain(k, k, k))
+        yield from (("oracle_associativity", {**d, **fc}) for d in nested_domain(k, k, k))
         for d in slot_domain(k, k, 1):
-            tasks += [("oracle_nakayama_gamma", {**d, **fc}), ("oracle_unit", {**d, **fc})]
+            yield "oracle_nakayama_gamma", {**d, **fc}
+            yield "oracle_unit", {**d, **fc}
             if d["i"] >= 2:
-                tasks.append(("oracle_nakayama_mu", {**d, **fc}))
-    return tasks
+                yield "oracle_nakayama_mu", {**d, **fc}
+
+
+def _tasks(config: SweepConfig) -> Iterator[Task]:
+    """The sweep's tasks in report order, each made when it is asked for."""
+    mm, mn, mp = config.bounds
+    # (suite, verifier, domain) in report order; a domain starts when reached
+    table = (
+        ("cooperad", "commutativity", parallel_domain(mm, mn, mp)),
+        ("cooperad", "associativity", nested_domain(mm, mn, mp)),
+        ("cooperad", "duality", slot_domain(mm, mn, 1)),
+        ("cooperad", "dias_axioms", either_domain(mm, mn, mp)),
+        ("anticyclic", "border", pair_domain(mm, mn)),
+        ("anticyclic", "inner", slot_domain(mm, mn, 2)),
+        ("anticyclic", "border_k0", pair_domain(mm, mn)),
+        ("anticyclic", "inner_k0", slot_domain(mm, mn, 2)),
+        ("anticyclic", "tau_order", ({"n": n} for n in range(1, mm + mn))),
+    )
+    for suite, name, domain in table:
+        if config.suite in (suite, "all"):
+            yield from ((name, d) for d in domain)
+    if config.suite in ("oracle", "all"):
+        # interleaved per slot, so not a row of the table
+        yield from _oracle_tasks(config.effective_oracle_max, config.field_config())
 
 
 def build_tasks(config: SweepConfig) -> list[Task]:
-    mm, mn, mp = config.bounds
-    tasks: list[Task] = []
-    if config.suite in ("cooperad", "all"):
-        tasks += _cooperad_tasks(mm, mn, mp)
-    if config.suite in ("anticyclic", "all"):
-        tasks += _anticyclic_tasks(mm, mn)
-    if config.suite in ("oracle", "all"):
-        tasks += _oracle_tasks(config.effective_oracle_max, config.field_config())
-    return tasks
+    return list(_tasks(config))
 
 
 def run_sweep(config: SweepConfig) -> Iterator[Report]:
-    """Yield the reports in task order; nothing runs until the first is asked for."""
-    tasks = build_tasks(config)
-    # the executor starts its workers up front, so never ask for more than
-    # the machine or the sweep can use
-    workers = min(config.workers, os.cpu_count() or 1, len(tasks))
+    """Yield the reports in task order; nothing runs until the first is asked
+    for, and a serial sweep makes one group's tasks at a time."""
+    groups = group_tasks(_tasks(config))
+    # the executor starts its workers up front and takes every group at
+    # once, so never ask for more workers than the machine or the sweep can use
+    workers = min(config.workers, os.cpu_count() or 1)
+    if workers > 1:
+        groups = list(groups)
+        workers = min(workers, len(groups))
     if workers > 1:
         # imported here: the pool machinery costs every serial run its import
         from concurrent.futures import ProcessPoolExecutor
 
         # a group goes whole to one worker, whose caches serve all of it
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from itertools.chain.from_iterable(pool.map(run_group, group_tasks(tasks)))
+            yield from itertools.chain.from_iterable(pool.map(run_group, groups))
     else:
-        yield from itertools.chain.from_iterable(map(run_group, group_tasks(tasks)))
+        yield from itertools.chain.from_iterable(map(run_group, groups))

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from quiverdias.reports import (
 from quiverdias.sweeps import (
     SweepConfig,
     build_tasks,
+    either_domain,
     nested_domain,
     pair_domain,
     parallel_domain,
@@ -244,6 +246,43 @@ def test_domains_match_acceptance_ranges():
     assert [(d["m"], d["n"]) for d in pair_domain(6, 6)] == crit3
     assert [(d["m"], d["n"], d["i"]) for d in slot_domain(6, 6, 2)] == crit4
 
+    # the axiom check's pairs: every pair of either domain, once, sorted
+    for bounds in ((5, 5, 5), (4, 2, 3), (2, 5, 1), (3, 6, 2)):
+        union = {five([d])[0]: d for d in [*parallel_domain(*bounds), *nested_domain(*bounds)]}
+        assert five(either_domain(*bounds)) == sorted(union)
+
+
+@pytest.mark.parametrize(
+    "bounds, checks, digest",
+    [
+        ((4, 2, 3), 428, "ed7e57a2489a8a9841ffaae49b8116eb2a6139a11765b0c26f148c9cdd258663"),
+        ((3, 6, 2), 752, "376cbff47586331d21a2cfbfa6293fd6cda36b462cd3aad29d6ba6956462d482"),
+    ],
+)
+def test_unequal_bounds_report_bytes_are_pinned(bounds, checks, digest):
+    # n and p bounded apart from m: the axiom check's pairs then depend on
+    # m and n separately
+    m, n, p = bounds
+    config = SweepConfig(suite="all", max_m=m, max_n=n, max_p=p)
+    reports = list(run_sweep(config))
+    assert len(reports) == checks and all(r.passed for r in reports)
+    text = render_report_file(config.echo(), reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_serial_sweep_makes_tasks_as_it_asks_for_them():
+    # the first report of a 208,728-check sweep costs one group's tasks,
+    # not the whole task list (47 MiB when it was built up front)
+    sweep = run_sweep(SweepConfig(suite="cooperad", max_m=12))
+    tracemalloc.start()
+    try:
+        assert next(sweep).verifier == "commutativity"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sweep.close()
+    assert peak < 2**20
+
 
 def test_worker_pool_is_bounded(monkeypatch):
     # a fake executor records the pool size and maps serially, so no
@@ -274,10 +313,14 @@ def test_worker_pool_is_bounded(monkeypatch):
     assert sizes == [4]  # clamped to the cores
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
     assert all(r.passed for r in run_sweep(three_tasks))
-    assert sizes == [4, 3]  # clamped to the tasks
+    assert sizes == [4, 3]  # clamped to the groups
+    seven_groups = SweepConfig(suite="cooperad", max_m=2, max_n=1, max_p=1, workers=100_000)
+    assert len(build_tasks(seven_groups)) == 11
+    assert all(r.passed for r in run_sweep(seven_groups))
+    assert sizes == [4, 3, 7]  # clamped to the groups, not the tasks
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)
     assert all(r.passed for r in run_sweep(many))
-    assert sizes == [4, 3]  # core count unknown: serial, no pool
+    assert sizes == [4, 3, 7]  # core count unknown: serial, no pool
 
 
 def test_cli_import_leaves_the_pool_machinery_unloaded():
