@@ -140,10 +140,12 @@ def dias_compose(m: int, i: int, n: int, j: int, k: int) -> int:
 
 def dias_compose_matrix(m: int, i: int, n: int) -> K0Map:
     """The 0/1 matrix of composition at slot i, from basis (j, k) row-major."""
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
+    if not 1 <= i <= m:
+        raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
     mat = np.zeros((m + n - 1, m * n), dtype=np.int64)
-    for j in range(1, m + 1):
-        for k in range(1, n + 1):
-            mat[dias_compose(m, i, n, j, k) - 1, (j - 1) * n + (k - 1)] = 1
+    mat[np.ravel(_compose_table(m, i, n)) - 1, np.arange(m * n)] = 1
     return K0Map((m, n), (m + n - 1,), mat)
 
 
@@ -181,19 +183,14 @@ def duality_check(m: int, i: int, n: int) -> Report:
 @functools.lru_cache(maxsize=1024)
 def nu_k0(n: int) -> K0Map:
     """The unique integer matrix sending each projective class to the
-    matching injective class, in the simple basis.  Cached, like nabla_k0."""
+    matching injective class, in the simple basis.  Cached, like nabla_k0.
+    Column j < n is -e_{j+1} and column n is all ones: S_j = P_j - P_{j+1}
+    goes to I_j - I_{j+1} = [1, j] - [1, j+1] = -S_{j+1}, and S_n = P_n to [1, n]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    proj = np.zeros((n, n), dtype=np.int64)
-    inj = np.zeros((n, n), dtype=np.int64)
-    for j in range(1, n + 1):
-        proj[j - 1 :, j - 1] = 1  # class of [j, n]
-        inj[: j, j - 1] = 1  # class of [1, j]
-    # inverse of the projective-class matrix: e_j = [P_j] - [P_{j+1}]
-    proj_inv = np.eye(n, dtype=np.int64)
-    for j in range(n - 1):
-        proj_inv[j + 1, j] = -1
-    return K0Map((n,), (n,), inj @ proj_inv)
+    mat = -np.eye(n, k=-1, dtype=np.int64)
+    mat[:, -1] = 1
+    return K0Map((n,), (n,), mat)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -207,11 +204,31 @@ def flip_k0(m: int, n: int) -> K0Map:
     """Permutation matrix exchanging the two factors: (a, b) to (b, a)."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    mat = np.zeros((n * m, m * n), dtype=np.int64)
-    for a in range(m):
-        for b in range(n):
-            mat[b * m + a, a * n + b] = 1
-    return K0Map((m, n), (n, m), mat)
+    perm = np.arange(m * n).reshape(m, n).T.ravel()
+    return K0Map((m, n), (n, m), np.eye(m * n, dtype=np.int64)[perm])
+
+
+def _on_factors(nab: K0Map, first: K0Map, second: K0Map | None = None) -> K0Map:
+    """nab with first acting on factor a of its target (a, b), as first x id
+    would; with second, also second on factor b and the factors exchanged, as
+    flip . (first x second) would.  The exchange is the output index order."""
+    (a, b), (big,) = nab.target, nab.source
+    for mp, factor in ((first, (a,)), (second, (b,))):
+        if mp is not None and mp.source != factor:
+            raise ValueError(f"cannot compose: source {mp.source} != target {factor}")
+    out = np.tensordot(first.matrix, nab.matrix.reshape(a, b, big), axes=1)
+    if second is None:
+        return K0Map(nab.source, first.target + (b,), out.reshape(-1, big))
+    out = np.einsum("yb,xbe->yxe", second.matrix, out)
+    return K0Map(nab.source, second.target + first.target, out.reshape(-1, big))
+
+
+def _forms_report(name: str, params: dict, nu_form: tuple, tau_form: tuple) -> Report:
+    """Report on an identity stated as (left, right) in the nu and tau forms;
+    the side sizes are those of the nu form."""
+    witnesses = _matrix_witnesses("nu_form", *nu_form) + _matrix_witnesses("tau_form", *tau_form)
+    sizes = [int(np.count_nonzero(side.matrix)) for side in nu_form]
+    return Report(name, params, *sizes, witnesses)
 
 
 def verify_border_k0(m: int, n: int) -> Report:
@@ -224,23 +241,12 @@ def verify_border_k0(m: int, n: int) -> Report:
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    nab_left = nabla_k0(m, 1, n)
-    nab_right = nabla_k0(n, n, m)
-    flip = flip_k0(n, m)
-    lhs_nu = nab_left @ nu_k0(m + n - 1)
-    rhs_nu = flip @ nu_k0(n).kron(nu_k0(m)) @ nab_right
-    lhs_tau = nab_left @ tau_k0(m + n - 1)
-    rhs_tau = (flip @ tau_k0(n).kron(tau_k0(m)) @ nab_right).scaled(-1)
-    witnesses = _matrix_witnesses("nu_form", lhs_nu, rhs_nu) + _matrix_witnesses(
-        "tau_form", lhs_tau, rhs_tau
-    )
-    params = {"m": m, "n": n}
-    return Report(
+    nab_left, nab_right = nabla_k0(m, 1, n), nabla_k0(n, n, m)
+    return _forms_report(
         "border_k0",
-        params,
-        int(np.count_nonzero(lhs_nu.matrix)),
-        int(np.count_nonzero(rhs_nu.matrix)),
-        witnesses,
+        {"m": m, "n": n},
+        (nab_left @ nu_k0(m + n - 1), _on_factors(nab_right, nu_k0(n), nu_k0(m))),
+        (nab_left @ tau_k0(m + n - 1), _on_factors(nab_right, tau_k0(n), tau_k0(m)).scaled(-1)),
     )
 
 
@@ -254,21 +260,12 @@ def verify_inner_k0(m: int, n: int, i: int) -> Report:
         raise ValueError(f"need 2 <= i <= m, got i={i}, m={m}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    ident = K0Map.identity((n,))
-    lhs_nu = nabla_k0(m, i, n) @ nu_k0(m + n - 1)
-    rhs_nu = nu_k0(m).kron(ident) @ nabla_k0(m, i - 1, n)
-    lhs_tau = nabla_k0(m, i, n) @ tau_k0(m + n - 1)
-    rhs_tau = tau_k0(m).kron(ident) @ nabla_k0(m, i - 1, n)
-    witnesses = _matrix_witnesses("nu_form", lhs_nu, rhs_nu) + _matrix_witnesses(
-        "tau_form", lhs_tau, rhs_tau
-    )
-    params = {"m": m, "n": n, "i": i}
-    return Report(
+    nab_left, nab_right = nabla_k0(m, i, n), nabla_k0(m, i - 1, n)
+    return _forms_report(
         "inner_k0",
-        params,
-        int(np.count_nonzero(lhs_nu.matrix)),
-        int(np.count_nonzero(rhs_nu.matrix)),
-        witnesses,
+        {"m": m, "n": n, "i": i},
+        (nab_left @ nu_k0(m + n - 1), _on_factors(nab_right, nu_k0(m))),
+        (nab_left @ tau_k0(m + n - 1), _on_factors(nab_right, tau_k0(m))),
     )
 
 

@@ -24,6 +24,7 @@ from quiverdias.k0 import (
 )
 from quiverdias.reports import Witness
 from quiverdias.supports import OP, Axis, Shape, Support, contract, make_support
+from quiverdias.sweeps import SweepConfig, run_sweep
 
 
 @pytest.fixture
@@ -247,10 +248,34 @@ def test_compose_elements_bilinear():
     assert np.array_equal(out, [3, 1, -8])
 
 
+@pytest.mark.parametrize(
+    "args, named", [((0, 1, 2), "m"), ((1, 1, 0), "n"), ((2, 0, 2), "i"), ((2, 3, 2), "i")]
+)
+def test_compose_matrix_rejects_degenerate_sizes(args, named):
+    with pytest.raises(ValueError, match=f"need .*{named}"):
+        dias_compose_matrix(*args)
+
+
 def test_compose_matrix_is_transpose_of_nabla():
     assert duality_check(2, 1, 2).passed
     assert duality_check(4, 2, 1).passed
     assert dias_compose_matrix(2, 1, 2) == nabla_k0(2, 1, 2).transposed()
+
+
+def test_seeded_composition_defect_fails_duality_at_its_instance(monkeypatch, fresh_caches):
+    seed = (3, 2, 2, 3, 1)  # e_3 o_2 e_1 is e_4; seeded to e_1
+    compose = dias_compose
+    monkeypatch.setattr(k0, "dias_compose", lambda *args: 1 if args == seed else compose(*args))
+    reports = [
+        duality_check(m, i, n) for m in range(1, 5) for n in range(1, 5) for i in range(1, m + 1)
+    ]
+    column = (3 - 1) * 2 + (1 - 1)
+    assert {tuple(r.params.values()): r.witnesses for r in reports if not r.passed} == {
+        (3, 2, 2): [
+            Witness("transpose_vs_compose", (0, column), "0 vs 1"),
+            Witness("transpose_vs_compose", (3, column), "1 vs 0"),
+        ]
+    }
 
 
 def test_duality_sweep():
@@ -277,7 +302,8 @@ def test_nu_rank_two_columns():
 
 
 def test_nu_defining_property():
-    for n in range(1, 9):
+    # up to 39, the largest rank an anticyclic sweep at --max 20 translates by
+    for n in range(1, 40):
         nu = nu_k0(n)
         for j in range(1, n + 1):
             pj = k0_class(interval_support(n, "projective", j))
@@ -347,6 +373,100 @@ def test_inner_k0_instances():
 def test_inner_k0_rejects_first_slot():
     with pytest.raises(ValueError, match="2 <= i"):
         verify_inner_k0(2, 2, 1)
+
+
+def kron_inner_forms(m, n, i):
+    """The inner identity's (left, right) nu and tau forms, translated by
+    Kronecker products: the reference for the factor-wise translation."""
+    ident = K0Map.identity((n,))
+    left, right = k0.nabla_k0(m, i, n), k0.nabla_k0(m, i - 1, n)
+    big = m + n - 1
+    return (
+        (left @ nu_k0(big), nu_k0(m).kron(ident) @ right),
+        (left @ tau_k0(big), tau_k0(m).kron(ident) @ right),
+    )
+
+
+def kron_border_forms(m, n):
+    """The border identity's forms, translated by flip . (t x t)."""
+    left, right = k0.nabla_k0(m, 1, n), k0.nabla_k0(n, n, m)
+    flip, big = flip_k0(n, m), m + n - 1
+    return (
+        (left @ nu_k0(big), flip @ nu_k0(n).kron(nu_k0(m)) @ right),
+        (left @ tau_k0(big), (flip @ tau_k0(n).kron(tau_k0(m)) @ right).scaled(-1)),
+    )
+
+
+def kron_report_fields(nu_form, tau_form):
+    """(left_size, right_size, witnesses) of a report on the given forms."""
+    witnesses = k0._matrix_witnesses("nu_form", *nu_form)
+    witnesses += k0._matrix_witnesses("tau_form", *tau_form)
+    left, right = nu_form
+    return np.count_nonzero(left.matrix), np.count_nonzero(right.matrix), witnesses
+
+
+def test_factor_translation_matches_kronecker_reference():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            ident = K0Map.identity((n,))
+            for i in range(1, m + 1):
+                nab = nabla_k0(m, i, n)
+                for t in (nu_k0, tau_k0):
+                    assert k0._on_factors(nab, t(m)) == t(m).kron(ident) @ nab, (m, i, n)
+                    reference = flip_k0(m, n) @ t(m).kron(t(n)) @ nab
+                    assert k0._on_factors(nab, t(m), t(n)) == reference, (m, i, n)
+
+
+def test_factor_translation_checks_bases():
+    nab = nabla_k0(2, 1, 3)  # target (2, 3)
+    with pytest.raises(ValueError, match="cannot compose"):
+        k0._on_factors(nab, nu_k0(3))
+    with pytest.raises(ValueError, match="cannot compose"):
+        k0._on_factors(nab, nu_k0(2), nu_k0(2))
+
+
+# one entry of nabla_k0(m, i, n) raised by one, at (row, column)
+SEEDED_NABLAS = [((2, 1, 2), (0, 0)), ((2, 2, 3), (3, 2)), ((3, 3, 2), (5, 1)), ((3, 1, 3), (2, 4))]
+
+
+@pytest.mark.parametrize("seed, entry", SEEDED_NABLAS)
+def test_seeded_nabla_witnesses_match_kronecker_reference(monkeypatch, fresh_caches, seed, entry):
+    nabla = nabla_k0
+
+    def seeded(*args):
+        mp = nabla(*args)
+        if args != seed:
+            return mp
+        mat = mp.matrix.copy()
+        mat[entry] += 1
+        return K0Map(mp.source, mp.target, mat)
+
+    monkeypatch.setattr(k0, "nabla_k0", seeded)
+    failed = 0
+    for m in range(1, 5):
+        for n in range(1, 5):
+            report = verify_border_k0(m, n)
+            expected = kron_report_fields(*kron_border_forms(m, n))
+            assert (report.left_size, report.right_size, report.witnesses) == expected, (m, n)
+            failed += not report.passed
+            for i in range(2, m + 1):
+                report = verify_inner_k0(m, n, i)
+                expected = kron_report_fields(*kron_inner_forms(m, n, i))
+                assert (report.left_size, report.right_size, report.witnesses) == expected
+                failed += not report.passed
+    assert failed > 0
+
+
+def test_anticyclic_sweep_builds_no_kronecker_or_flip_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a check built a Kronecker, flip or identity matrix")
+
+    monkeypatch.setattr(K0Map, "kron", refuse)
+    monkeypatch.setattr(K0Map, "identity", refuse)
+    monkeypatch.setattr(k0, "flip_k0", refuse)
+    reports = list(run_sweep(SweepConfig(suite="anticyclic", max_m=4)))
+    assert len(reports) == 87
+    assert all(r.passed for r in reports)
 
 
 @pytest.fixture
