@@ -28,9 +28,9 @@ from .supports import (
     permute_axes,
 )
 
-# points of the stacked sets of one chunk of a verifier group (see
-# _pair_reports): a chunk's scratch stays a few MiB at any (m, n, p)
-_STACK_POINTS = 1 << 18
+# bytes of one stacked array of a chunk of a verifier group, from which
+# each group body sizes its chunks: their scratch stays a few MiB at any (m, n, p)
+STACK_BYTES = 1 << 18
 
 # a predicate takes one coordinate per axis, as ints or as broadcasting integer
 # arrays, so clauses are written with & | and np.where, not and / or / if
@@ -196,23 +196,26 @@ def _composite(top: tuple, a1: int, bottom: tuple, perm: Sequence[int]) -> Suppo
     return permute_axes(gathered, [0] + [q + 1 for q in perm])
 
 
-def _pair_reports(verifier: str, reference, sides, m: int, n: int, p: int, pairs) -> list[Report]:
-    """One report per slot pair (i, j), from stacks of the pairs' sides(i, j)
-    and reference(m, n, p, i, j).  Pairs run in chunks whose stacks hold at
-    most _STACK_POINTS points, which bounds the scratch memory of a large
-    (m, n, p).  Only a pair whose three members differ builds witnesses."""
-    step = max(1, _STACK_POINTS // math.prod(quad_shape(m, n, p).lengths))
+def _pair_reports(verifier: str, reference, sides, params: Sequence[dict]) -> list[Report]:
+    """One report per parameter dict of one (m, n, p), from stacks of
+    sides(m, n, p, i, j) and reference(m, n, p, i, j).  Pairs run in chunks
+    whose bool stacks hold at most STACK_BYTES, bounding the scratch of a
+    large (m, n, p).  Only a pair whose three members differ builds witnesses."""
+    if not params:
+        return []
+    m, n, p = params[0]["m"], params[0]["n"], params[0]["p"]
+    step = max(1, STACK_BYTES // math.prod(quad_shape(m, n, p).lengths))
     reports = []
-    for chunk in (pairs[k : k + step] for k in range(0, len(pairs), step)):
-        i, j = np.array(chunk).T
+    for chunk in (params[k : k + step] for k in range(0, len(params), step)):
+        i, j = np.array([(d["i"], d["j"]) for d in chunk]).T
         ref = reference(m, n, p, i, j)  # validates the pairs
-        left, right = sides(i, j)
+        left, right = sides(m, n, p, i, j)
         flat = [s.mask.reshape(len(chunk), -1) for s in (left, right, ref)]
         differ = np.ones(len(chunk), dtype=bool)
         if left.shape == right.shape == ref.shape:
             differ = (flat[0] != flat[1]).any(axis=1) | (flat[0] != flat[2]).any(axis=1)
         sizes = zip(*(np.count_nonzero(f, axis=1).tolist() for f in flat[:2]))
-        for k, ((a, b), (left_size, right_size)) in enumerate(zip(chunk, sizes)):
+        for k, (d, (left_size, right_size)) in enumerate(zip(chunk, sizes)):
             witnesses = []
             if differ[k]:
                 lk, rk, ref_k = (
@@ -223,12 +226,11 @@ def _pair_reports(verifier: str, reference, sides, m: int, n: int, p: int, pairs
                     + compare_supports("left_vs_reference", lk, ref_k)
                     + compare_supports("right_vs_reference", rk, ref_k)
                 )
-            params = {"m": m, "n": n, "p": p, "i": a, "j": b}
-            reports.append(Report(verifier, params, left_size, right_size, witnesses))
+            reports.append(Report(verifier, d, left_size, right_size, witnesses))
     return reports
 
 
-def commutativity_group(m: int, n: int, p: int, pairs: Sequence[tuple[int, int]]) -> list[Report]:
+def commutativity_group(params: Sequence[dict]) -> list[Report]:
     """Contract the two parallel-composition pairs and compare everything,
     for the slot pairs (i, j) of one (m, n, p), with one contract per side.
 
@@ -236,36 +238,36 @@ def commutativity_group(m: int, n: int, p: int, pairs: Sequence[tuple[int, int]]
     (g, mu, nu, pi) and compared to each other and to the reference clause
     set; the permutations are certified by that agreement.
     """
-    def sides(i, j):
+    def sides(m, n, p, i, j):
         return (
             _composite((m + p - 1, i, n), 1, (m, j, p), (0, 2, 1, 3)),
             _composite((m + n - 1, j + n - 1, p), 1, (m, i, n), (0, 2, 3, 1)),
         )
 
-    return _pair_reports("commutativity", reference_commutativity_set, sides, m, n, p, pairs)
+    return _pair_reports("commutativity", reference_commutativity_set, sides, params)
 
 
 def verify_commutativity(m: int, n: int, p: int, i: int, j: int) -> Report:
     """commutativity_group on the one slot pair (i, j)."""
-    return commutativity_group(m, n, p, [(i, j)])[0]
+    return commutativity_group([{"m": m, "n": n, "p": p, "i": i, "j": j}])[0]
 
 
-def associativity_group(m: int, n: int, p: int, pairs: Sequence[tuple[int, int]]) -> list[Report]:
+def associativity_group(params: Sequence[dict]) -> list[Report]:
     """Contract the two nested-composition pairs and compare everything,
     for the slot pairs (i, j) of one (m, n, p), with one contract per side.
     The right side's top factor sits at slot t = i + j - 1."""
-    def sides(i, j):
+    def sides(m, n, p, i, j):
         return (
             _composite((m, i, n + p - 1), 2, (n, j, p), (0, 1, 2, 3)),
             _composite((m + n - 1, i + j - 1, p), 1, (m, i, n), (0, 2, 3, 1)),
         )
 
-    return _pair_reports("associativity", reference_associativity_set, sides, m, n, p, pairs)
+    return _pair_reports("associativity", reference_associativity_set, sides, params)
 
 
 def verify_associativity(m: int, n: int, p: int, i: int, j: int) -> Report:
     """associativity_group on the one slot pair (i, j)."""
-    return associativity_group(m, n, p, [(i, j)])[0]
+    return associativity_group([{"m": m, "n": n, "p": p, "i": i, "j": j}])[0]
 
 
 # the sweep hands each verifier's whole (m, n, p) group to its group form

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import s_support
+from .families import STACK_BYTES, s_support
 from .reports import Report, Witness
 from .supports import PLAIN, Axis, Shape, Support, contract
 
@@ -35,7 +35,7 @@ def _basis_size(desc: BasisDesc) -> int:
 class K0Map:
     """Integer matrix between simple-class bases, with basis descriptors.
     The matrix is a private read-only copy of the one given, so a map can
-    be shared, as the caches of nabla_k0, nu_k0 and tau_k0 share theirs."""
+    be shared, as the caches of nu_k0 and tau_k0 share theirs."""
 
     source: BasisDesc
     target: BasisDesc
@@ -49,10 +49,6 @@ class K0Map:
         expected = (_basis_size(self.target), _basis_size(self.source))
         if self.matrix.shape != expected:
             raise ValueError(f"matrix of shape {self.matrix.shape} does not fit {expected}")
-
-    @classmethod
-    def identity(cls, desc: BasisDesc) -> "K0Map":
-        return cls(desc, desc, np.eye(_basis_size(tuple(desc)), dtype=np.int64))
 
     def __matmul__(self, other: "K0Map") -> "K0Map":
         if self.source != other.target:
@@ -101,26 +97,34 @@ def k0_class(support: Support) -> np.ndarray:
     return support.mask.ravel().astype(np.int64)
 
 
-@functools.lru_cache(maxsize=1024)
-def nabla_k0(m: int, i: int, n: int) -> K0Map:
-    """Matrix of the slot-insertion functor on classes.
+def _nablas(m: int, slots, n: int) -> list[K0Map]:
+    """nabla_k0(m, i, n) for each slot i of slots, from one contraction.
 
     Column j is the class of the image of the j-th simple, computed from
     the images of projectives via the two-term resolution
-    S_j = P_j - P_{j+1} (with P_{m+n} = 0).  The projectives [j, m+n-1]
-    are stacked along a leading plain index axis, so one contraction with
-    s_support(m, i, n) gives their images as the rows of its mask.  Cached:
-    callers share one map per argument triple.
-    """
-    if not 1 <= i <= m:
-        raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+    S_j = P_j - P_{j+1} (with P_{m+n} = 0).  The projectives [j, m+n-1] are
+    stacked along a leading plain axis and the slots' s_support(m, i, n)
+    along another, so one contraction gives the images for every slot."""
+    slot_supports = [s_support(m, i, n) for i in slots]  # validates the slots
     big = m + n - 1
     # row j - 1 of the mask is the projective [j, big]: set where j <= c
     stacked = Support(Shape((Axis(big), Axis(big))), np.triu(np.ones((big, big), dtype=bool)))
-    proj = contract(stacked, 1, s_support(m, i, n), 0).mask.reshape(big, m * n).astype(np.int64)
-    return K0Map((big,), (m, n), -np.diff(proj, axis=0, append=0).T)
+    shape = Shape((Axis(len(slots)),) + slot_supports[0].shape.axes)
+    slot_stack = Support(shape, np.stack([s.mask for s in slot_supports]))
+    proj = contract(stacked, 1, slot_stack, 1).mask.reshape(big, len(slots), m * n)
+    simple = -np.diff(proj.astype(np.int64), axis=0, append=0)
+    return [K0Map((big,), (m, n), simple[:, k].T) for k in range(len(slots))]
+
+
+def nabla_k0(m: int, i: int, n: int) -> K0Map:
+    """Matrix of the slot-insertion functor on classes: _nablas at one slot."""
+    return _nablas(m, [i], n)[0]
+
+
+def _compose(i, n, j, k):
+    """Basis index of e_j at slot i with e_k, for ints or broadcasting
+    integer arrays: j below the slot, i + k - 1 on it, j + n - 1 above it."""
+    return np.where(j < i, j, np.where(j == i, i + k - 1, j + n - 1))
 
 
 def dias_compose(m: int, i: int, n: int, j: int, k: int) -> int:
@@ -131,11 +135,7 @@ def dias_compose(m: int, i: int, n: int, j: int, k: int) -> int:
         raise ValueError(f"need 1 <= j <= m, got j={j}, m={m}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if i > j:
-        return j
-    if i == j:
-        return i + k - 1
-    return j + n - 1
+    return int(_compose(i, n, j, k))
 
 
 def dias_compose_matrix(m: int, i: int, n: int) -> K0Map:
@@ -145,7 +145,8 @@ def dias_compose_matrix(m: int, i: int, n: int) -> K0Map:
     if not 1 <= i <= m:
         raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
     mat = np.zeros((m + n - 1, m * n), dtype=np.int64)
-    mat[np.ravel(_compose_table(m, i, n)) - 1, np.arange(m * n)] = 1
+    j, k = np.indices((m, n)) + 1
+    mat[_compose(i, n, j, k).ravel() - 1, np.arange(m * n)] = 1
     return K0Map((m, n), (m + n - 1,), mat)
 
 
@@ -183,7 +184,7 @@ def duality_check(m: int, i: int, n: int) -> Report:
 @functools.lru_cache(maxsize=1024)
 def nu_k0(n: int) -> K0Map:
     """The unique integer matrix sending each projective class to the
-    matching injective class, in the simple basis.  Cached, like nabla_k0.
+    matching injective class, in the simple basis.  Cached per process.
     Column j < n is -e_{j+1} and column n is all ones: S_j = P_j - P_{j+1}
     goes to I_j - I_{j+1} = [1, j] - [1, j+1] = -S_{j+1}, and S_n = P_n to [1, n]."""
     if n < 1:
@@ -250,77 +251,84 @@ def verify_border_k0(m: int, n: int) -> Report:
     )
 
 
-def verify_inner_k0(m: int, n: int, i: int) -> Report:
-    """Class-level inner identity, nu form and tau form.
+def inner_k0_group(params: list[dict]) -> list[Report]:
+    """Class-level inner identity, nu form and tau form, for the slots i of
+    one (m, n), from one _nablas stack of the slots i and i - 1.
 
     nu form: nabla(m,i,n) . nu = (nu x id) . nabla(m,i-1,n); the tau form
     carries one -1 on each side, so it holds iff the nu form does.
     """
-    if not 2 <= i <= m:
-        raise ValueError(f"need 2 <= i <= m, got i={i}, m={m}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    nab_left, nab_right = nabla_k0(m, i, n), nabla_k0(m, i - 1, n)
-    return _forms_report(
-        "inner_k0",
-        {"m": m, "n": n, "i": i},
-        (nab_left @ nu_k0(m + n - 1), _on_factors(nab_right, nu_k0(m))),
-        (nab_left @ tau_k0(m + n - 1), _on_factors(nab_right, tau_k0(m))),
-    )
+    m, n = params[0]["m"], params[0]["n"]
+    for d in params:
+        if not 2 <= d["i"] <= m:
+            raise ValueError(f"need 2 <= i <= m, got i={d['i']}, m={m}")
+    slots = sorted({s for d in params for s in (d["i"] - 1, d["i"])})
+    nab = dict(zip(slots, _nablas(m, slots, n)))
+    return [
+        _forms_report(
+            "inner_k0",
+            d,
+            (nab[d["i"]] @ nu_k0(m + n - 1), _on_factors(nab[d["i"] - 1], nu_k0(m))),
+            (nab[d["i"]] @ tau_k0(m + n - 1), _on_factors(nab[d["i"] - 1], tau_k0(m))),
+        )
+        for d in params
+    ]
 
 
-@functools.lru_cache(maxsize=1024)
-def _compose_table(m: int, i: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """dias_compose(m, i, n, j, k) at [j - 1][k - 1]; cached per process."""
-    return tuple(
-        tuple([dias_compose(m, i, n, j, k) for k in range(1, n + 1)]) for j in range(1, m + 1)
-    )
+def verify_inner_k0(m: int, n: int, i: int) -> Report:
+    """inner_k0_group on the one slot i."""
+    return inner_k0_group([{"m": m, "n": n, "i": i}])[0]
 
 
-def dias_operad_axiom_check(m: int, n: int, p: int, i: int, j: int) -> Report:
+def dias_axioms_group(params: list[dict]) -> list[Report]:
     """Brute-force the parallel and nested composition axioms on all basis
-    elements, for whichever of the two the slot pair (i, j) legally selects.
-    Both sides are read from tables of dias_compose.
+    elements, for whichever of the two each slot pair (i, j) of one
+    (m, n, p) legally selects, over one (pair, a, b, c) grid of _compose.
 
     Parallel (needs i < j <= m):
         (e_a o_j e_c) o_i e_b = (e_a o_i e_b) o_{j+n-1} e_c.
     Nested (needs i <= m, j <= n):
         e_a o_i (e_b o_j e_c) = (e_a o_i e_b) o_{i+j-1} e_c.
     """
+    m, n, p = params[0]["m"], params[0]["n"], params[0]["p"]
     if min(m, n, p) < 1:
         raise ValueError(f"need m, n, p >= 1, got {m}, {n}, {p}")
-    if i < 1:
-        raise ValueError(f"need i >= 1, got i={i}")
-    parallel = i < j <= m
-    nested = i <= m and 1 <= j <= n
-    if not (parallel or nested):
-        raise ValueError(
-            f"slots i={i}, j={j} select neither the parallel (i<j<=m) nor the "
-            f"nested (i<=m, j<=n) axiom for m={m}, n={n}"
-        )
-    first = _compose_table(m, i, n)
-    if parallel:
-        p_in, p_out = _compose_table(m, j, p), _compose_table(m + p - 1, i, n)
-        p_after = _compose_table(m + n - 1, j + n - 1, p)
-    if nested:
-        n_in, n_out = _compose_table(n, j, p), _compose_table(m, i, n + p - 1)
-        n_after = _compose_table(m + n - 1, i + j - 1, p)
-    witnesses: list[Witness] = []
-    for a in range(m):
-        for b in range(n):
-            ab = first[a][b] - 1  # e_a o_i e_b, both right sides start there
-            for c in range(p):
-                if parallel:
-                    lhs, rhs = p_out[p_in[a][c] - 1][b], p_after[ab][c]
-                    if lhs != rhs:
-                        witnesses.append(Witness("parallel", (a + 1, b + 1, c + 1), f"{lhs} vs {rhs}"))
-                if nested:
-                    lhs, rhs = n_out[a][n_in[b][c] - 1], n_after[ab][c]
-                    if lhs != rhs:
-                        witnesses.append(Witness("nested", (a + 1, b + 1, c + 1), f"{lhs} vs {rhs}"))
-    checks = m * n * p
-    params = {"m": m, "n": n, "p": p, "i": i, "j": j}
-    return Report("dias_axioms", params, checks if parallel else 0, checks if nested else 0, witnesses)
+    for d in params:
+        if not (1 <= d["i"] < d["j"] <= m or 1 <= d["i"] <= m and 1 <= d["j"] <= n):
+            raise ValueError(
+                f"slots i={d['i']}, j={d['j']} select neither the parallel (i<j<=m) nor "
+                f"the nested (i<=m, j<=n) axiom for m={m}, n={n}"
+            )
+    reports = []
+    step = max(1, STACK_BYTES // (8 * m * n * p))  # bytes of a pair's int64 grid
+    a, b, c = (x + 1 for x in np.indices((m, n, p), sparse=True))
+    for chunk in (params[s : s + step] for s in range(0, len(params), step)):
+        i, j = (np.array([d[key] for d in chunk]).reshape(-1, 1, 1, 1) for key in "ij")
+        ab = _compose(i, n, a, b)  # e_a o_i e_b, both right sides start there
+        axioms = [
+            (_compose(i, n, _compose(j, p, a, c), b), _compose(j + n - 1, p, ab, c)),
+            (_compose(i, n + p - 1, a, _compose(j, p, b, c)), _compose(i + j - 1, p, ab, c)),
+        ]
+        lhs, rhs = (np.stack(np.broadcast_arrays(*side), axis=-1) for side in zip(*axioms))
+        selected = np.stack(np.broadcast_arrays((i < j) & (j <= m), j <= n), axis=-1)
+        found: list[list[Witness]] = [[] for _ in chunk]
+        # argwhere runs (pair, a, b, c, axiom) row-major: parallel before nested
+        for k, x, y, z, ax in np.argwhere((lhs != rhs) & selected).tolist():
+            detail = f"{lhs[k, x, y, z, ax]} vs {rhs[k, x, y, z, ax]}"
+            found[k].append(Witness(("parallel", "nested")[ax], (x + 1, y + 1, z + 1), detail))
+        checks = (m * n * p * selected.reshape(len(chunk), 2)).tolist()
+        reports += [Report("dias_axioms", d, *sizes, w) for d, sizes, w in zip(chunk, checks, found)]
+    return reports
+
+
+def dias_operad_axiom_check(m: int, n: int, p: int, i: int, j: int) -> Report:
+    """dias_axioms_group on the one slot pair (i, j)."""
+    return dias_axioms_group([{"m": m, "n": n, "p": p, "i": i, "j": j}])[0]
+
+
+# the sweep hands each verifier's whole group to its group form
+verify_inner_k0.group = inner_k0_group
+dias_operad_axiom_check.group = dias_axioms_group
 
 
 def dias_tau(n: int) -> K0Map:

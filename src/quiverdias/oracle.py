@@ -377,12 +377,14 @@ def tensor_over(m1: QuiverModule, a1: int, m2: QuiverModule, a2: int) -> QuiverM
     fibers1, fibers2 = _level_fibers(m1, a1, tables), _level_fibers(m2, a2, tables)
     module = _tensor(fibers1, fibers2, out_shape, m1.shape.arity - 1, tables)
     _drop_if_full(tables)
+    # a caller may mutate its maps, so they are not the table's tuples
+    module.maps = {key: [list(row) for row in mat] for key, mat in module.maps.items()}
     return module
 
 
 def _tensor(fibers1: tuple, fibers2: tuple, out_shape: Shape, k1: int, tables: _Tables) -> QuiverModule:
     """The tensor product from the fiber tables of its two factors, whose
-    k1 free left axes come first in out_shape."""
+    k1 free left axes come first in out_shape; its maps are shared tuples."""
     F, content = tables.config.field, tables.content
     quotients, induced = tables.quotients, tables.induced
 
@@ -401,7 +403,7 @@ def _tensor(fibers1: tuple, fibers2: tuple, out_shape: Shape, k1: int, tables: _
             dims[x] = len(quo[5])
 
     # a map depends on its two quotients, its run and the factor it acts on
-    maps: dict[tuple[Point, int], Matrix] = {}
+    maps: dict[tuple[Point, int], tuple] = {}
     for x, (pair, runs1, runs2) in verts.items():
         for t, ax in enumerate(out_shape.axes):
             if x[t] >= ax.length:
@@ -416,7 +418,7 @@ def _tensor(fibers1: tuple, fibers2: tuple, out_shape: Shape, k1: int, tables: _
             mat = induced.get(key)
             if mat is None:
                 mat = induced[key] = _induced(F, quotients[src], quotients[dst], content[run], on_left)
-            maps[(x, t)] = [list(row) for row in mat]
+            maps[(x, t)] = mat
     return QuiverModule(out_shape, tables.config, dims, maps)
 
 

@@ -107,12 +107,11 @@ def group_tasks(tasks: Iterable[Task]) -> Iterator[list[Task]]:
 
 def run_group(group: list[Task]) -> list[Report]:
     """The reports of one group in task order: a verifier with a ``group``
-    form takes all of the group's slot pairs in one call."""
-    name, params = group[0]
-    batch = getattr(_VERIFIERS.get(name), "group", None)
+    form takes all of the group's parameter dicts in one call."""
+    batch = getattr(_VERIFIERS.get(group[0][0]), "group", None)
     if batch is None:
         return [run_task(task) for task in group]
-    return batch(params["m"], params["n"], params["p"], [(d["i"], d["j"]) for _, d in group])
+    return batch([params for _, params in group])
 
 
 # Parameter domains, each yielded in canonical (lexicographic) order.
@@ -230,7 +229,7 @@ def run_sweep(config: SweepConfig) -> Iterator[Report]:
         # imported here: the pool machinery costs every serial run its import
         from concurrent.futures import ProcessPoolExecutor
 
-        # a group goes whole to one worker, whose caches serve all of it
+        # a group goes whole to one worker, which shares its maps across it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from itertools.chain.from_iterable(pool.map(run_group, groups))
     else:

@@ -1,5 +1,8 @@
 """Class-level layer: insertion matrices, composition duality, translations."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,19 +27,24 @@ from quiverdias.k0 import (
 )
 from quiverdias.reports import Witness
 from quiverdias.supports import OP, Axis, Shape, Support, contract, make_support
-from quiverdias.sweeps import SweepConfig, run_sweep
+from quiverdias.sweeps import SweepConfig, group_tasks, run_group, run_sweep, slot_domain
 
 
 @pytest.fixture
 def fresh_caches():
     """Empty the per-process caches of the class layer before and after the
     test, so that no map built from a perturbed input outlives it."""
-    caches = (nabla_k0, nu_k0, tau_k0, k0._compose_table)
+    caches = (nu_k0, tau_k0)
     for cached in caches:
         cached.cache_clear()
     yield
     for cached in caches:
         cached.cache_clear()
+
+
+def identity(desc):
+    """The identity K0Map on a basis: the reference factor of Kronecker forms."""
+    return K0Map(desc, desc, np.eye(int(np.prod(desc)), dtype=np.int64))
 
 
 def unit(m, n, a, b):
@@ -173,7 +181,8 @@ def test_nabla_matches_per_projective_reference():
 )
 def test_class_maps_are_shared_and_read_only(build, args):
     mp = build(*args)
-    assert build(*args) is mp
+    if build is not nabla_k0:  # insertion maps are shared inside a sweep group only
+        assert build(*args) is mp
     with pytest.raises(ValueError, match="read-only"):
         mp.matrix[0, 0] = 7
     with pytest.raises(ValueError, match="read-only"):
@@ -191,11 +200,9 @@ def drop_fiber_top(support, mu, nu):
 
 def seeded_duality(monkeypatch, m, i, n, mu, nu):
     seeded, t = drop_fiber_top(s_support(m, i, n), mu, nu)
-    nabla_k0.cache_clear()
     with monkeypatch.context() as mp:
         mp.setattr(k0, "s_support", lambda *args: seeded if args == (m, i, n) else s_support(*args))
         report = duality_check(m, i, n)
-    nabla_k0.cache_clear()
     return report, t
 
 
@@ -256,25 +263,51 @@ def test_compose_matrix_rejects_degenerate_sizes(args, named):
         dias_compose_matrix(*args)
 
 
+@pytest.mark.parametrize("args, message", [((1, 1, 0), "need n >= 1"), ((0, 1, 1), "1 <= i <= m")])
+@pytest.mark.parametrize("check", [nabla_k0, duality_check])
+def test_insertion_map_refuses_bad_sizes_by_name(check, args, message):
+    # the slot support refuses the arguments before any axis is built
+    with pytest.raises(ValueError, match=message):
+        check(*args)
+
+
 def test_compose_matrix_is_transpose_of_nabla():
     assert duality_check(2, 1, 2).passed
     assert duality_check(4, 2, 1).passed
     assert dias_compose_matrix(2, 1, 2) == nabla_k0(2, 1, 2).transposed()
 
 
-def test_seeded_composition_defect_fails_duality_at_its_instance(monkeypatch, fresh_caches):
-    seed = (3, 2, 2, 3, 1)  # e_3 o_2 e_1 is e_4; seeded to e_1
-    compose = dias_compose
-    monkeypatch.setattr(k0, "dias_compose", lambda *args: 1 if args == seed else compose(*args))
+def seed_compose(monkeypatch, seed):
+    """k0._compose with its value at seed = (i, n, j, k) sent to basis element
+    1, or to 2 where it is 1; an arity that reaches seed has n >= 2 elements."""
+    compose = k0._compose
+    si, sn, sj, sk = seed
+
+    def seeded(i, n, j, k):
+        value = compose(i, n, j, k)
+        hit = (i == si) & (n == sn) & (j == sj) & (k == sk)
+        return np.where(hit, np.where(value == 1, 2, 1), value)
+
+    monkeypatch.setattr(k0, "_compose", seeded)
+
+
+def test_seeded_composition_defect_fails_duality_at_its_instance(monkeypatch):
+    # e_3 o_2 e_1 is e_{3+2-1} at every m >= 3; seeded to e_1, which
+    # dias_compose, the composition matrix and duality all read
+    seed_compose(monkeypatch, (2, 2, 3, 1))
+    assert dias_compose(3, 2, 2, 3, 1) == 1 and dias_compose(4, 2, 2, 3, 1) == 1
+    assert dias_compose(3, 2, 2, 3, 2) == 4
     reports = [
         duality_check(m, i, n) for m in range(1, 5) for n in range(1, 5) for i in range(1, m + 1)
     ]
     column = (3 - 1) * 2 + (1 - 1)
+    expected = [
+        Witness("transpose_vs_compose", (0, column), "0 vs 1"),
+        Witness("transpose_vs_compose", (3, column), "1 vs 0"),
+    ]
     assert {tuple(r.params.values()): r.witnesses for r in reports if not r.passed} == {
-        (3, 2, 2): [
-            Witness("transpose_vs_compose", (0, column), "0 vs 1"),
-            Witness("transpose_vs_compose", (3, column), "1 vs 0"),
-        ]
+        (3, 2, 2): expected,
+        (4, 2, 2): expected,
     }
 
 
@@ -378,7 +411,7 @@ def test_inner_k0_rejects_first_slot():
 def kron_inner_forms(m, n, i):
     """The inner identity's (left, right) nu and tau forms, translated by
     Kronecker products: the reference for the factor-wise translation."""
-    ident = K0Map.identity((n,))
+    ident = identity((n,))
     left, right = k0.nabla_k0(m, i, n), k0.nabla_k0(m, i - 1, n)
     big = m + n - 1
     return (
@@ -408,7 +441,7 @@ def kron_report_fields(nu_form, tau_form):
 def test_factor_translation_matches_kronecker_reference():
     for m in range(1, 7):
         for n in range(1, 7):
-            ident = K0Map.identity((n,))
+            ident = identity((n,))
             for i in range(1, m + 1):
                 nab = nabla_k0(m, i, n)
                 for t in (nu_k0, tau_k0):
@@ -429,19 +462,26 @@ def test_factor_translation_checks_bases():
 SEEDED_NABLAS = [((2, 1, 2), (0, 0)), ((2, 2, 3), (3, 2)), ((3, 3, 2), (5, 1)), ((3, 1, 3), (2, 4))]
 
 
+def seed_nablas(monkeypatch, seed, entry):
+    """k0._nablas, which every insertion map is read from, with the map of
+    seed = (m, i, n) raised by one at entry."""
+    nablas = k0._nablas
+
+    def seeded(m, slots, n):
+        maps = nablas(m, slots, n)
+        for k, i in enumerate(slots):
+            if (m, i, n) == seed:
+                mat = maps[k].matrix.copy()
+                mat[entry] += 1
+                maps[k] = K0Map(maps[k].source, maps[k].target, mat)
+        return maps
+
+    monkeypatch.setattr(k0, "_nablas", seeded)
+
+
 @pytest.mark.parametrize("seed, entry", SEEDED_NABLAS)
 def test_seeded_nabla_witnesses_match_kronecker_reference(monkeypatch, fresh_caches, seed, entry):
-    nabla = nabla_k0
-
-    def seeded(*args):
-        mp = nabla(*args)
-        if args != seed:
-            return mp
-        mat = mp.matrix.copy()
-        mat[entry] += 1
-        return K0Map(mp.source, mp.target, mat)
-
-    monkeypatch.setattr(k0, "nabla_k0", seeded)
+    seed_nablas(monkeypatch, seed, entry)
     failed = 0
     for m in range(1, 5):
         for n in range(1, 5):
@@ -457,16 +497,47 @@ def test_seeded_nabla_witnesses_match_kronecker_reference(monkeypatch, fresh_cac
     assert failed > 0
 
 
+@pytest.mark.parametrize("seed, entry", SEEDED_NABLAS + [((4, 2, 3), (5, 3)), ((4, 3, 2), (6, 4))])
+def test_seeded_slot_fails_only_the_group_reports_that_read_it(monkeypatch, seed, entry):
+    # the sweep's inner_k0 group of (m, n) builds every slot's map in one
+    # stack; a defect in slot s fails exactly the reports at i = s (left
+    # side) and i = s + 1 (right side), each with its one-slot witnesses
+    m, s, n = seed
+    group = [("inner_k0", d) for d in slot_domain(m, n, 2) if (d["m"], d["n"]) == (m, n)]
+    seed_nablas(monkeypatch, seed, entry)
+    reports = run_group(group)
+    assert [r.params for r in reports] == [d for _, d in group]
+    assert [r.params["i"] for r in reports if not r.passed] == [i for i in (s, s + 1) if 2 <= i <= m]
+    for report, (_, d) in zip(reports, group):
+        assert report == verify_inner_k0(m, n, d["i"])
+        expected = kron_report_fields(*kron_inner_forms(m, n, d["i"]))
+        assert (report.left_size, report.right_size, report.witnesses) == expected
+
+
 def test_anticyclic_sweep_builds_no_kronecker_or_flip_matrix(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a check built a Kronecker, flip or identity matrix")
+        raise AssertionError("a check built a Kronecker or flip matrix")
 
     monkeypatch.setattr(K0Map, "kron", refuse)
-    monkeypatch.setattr(K0Map, "identity", refuse)
     monkeypatch.setattr(k0, "flip_k0", refuse)
     reports = list(run_sweep(SweepConfig(suite="anticyclic", max_m=4)))
     assert len(reports) == 87
     assert all(r.passed for r in reports)
+
+
+def test_anticyclic_sweep_leaves_no_class_maps_behind():
+    # a sweep shares its insertion maps inside a group only: once the slot
+    # supports are dropped, under 1 MiB of what it allocated stays alive
+    list(run_sweep(SweepConfig(suite="anticyclic", max_m=2)))
+    tracemalloc.start()
+    try:
+        assert all(r.passed for r in run_sweep(SweepConfig(suite="anticyclic", max_m=12)))
+        s_support.cache_clear()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 @pytest.fixture
@@ -535,10 +606,10 @@ def test_dias_axiom_rejects_illegal_slots():
 def test_dias_axioms_match_matrix_composites():
     # the brute-forced axioms are the transposes of the class-level identities
     for (m, n, p, i, j) in [(2, 2, 2, 1, 2), (3, 2, 2, 1, 3), (3, 3, 2, 2, 3)]:
-        left = K0Map.identity((m,)).kron(flip_k0(p, n)) @ nabla_k0(m, j, p).kron(
-            K0Map.identity((n,))
+        left = identity((m,)).kron(flip_k0(p, n)) @ nabla_k0(m, j, p).kron(
+            identity((n,))
         ) @ nabla_k0(m + p - 1, i, n)
-        right = nabla_k0(m, i, n).kron(K0Map.identity((p,))) @ nabla_k0(m + n - 1, j + n - 1, p)
+        right = nabla_k0(m, i, n).kron(identity((p,))) @ nabla_k0(m + n - 1, j + n - 1, p)
         assert left == right
         # columns of the transpose are the brute-force compositions
         for a in range(1, m + 1):
@@ -551,8 +622,8 @@ def test_dias_axioms_match_matrix_composites():
                     col = left.matrix[row, :]
                     assert col.sum() == 1 and col[expect - 1] == 1
     for (m, n, p, i, j) in [(2, 2, 2, 1, 1), (3, 2, 2, 2, 1), (2, 3, 2, 1, 2)]:
-        left = K0Map.identity((m,)).kron(nabla_k0(n, j, p)) @ nabla_k0(m, i, n + p - 1)
-        right = nabla_k0(m, i, n).kron(K0Map.identity((p,))) @ nabla_k0(m + n - 1, j + i - 1, p)
+        left = identity((m,)).kron(nabla_k0(n, j, p)) @ nabla_k0(m, i, n + p - 1)
+        right = nabla_k0(m, i, n).kron(identity((p,))) @ nabla_k0(m + n - 1, j + i - 1, p)
         assert left == right
 
 
@@ -607,27 +678,37 @@ def test_dias_axiom_counts():
         assert report.right_size == (m * n * p if j <= n else 0)
 
 
-# one composition (m, i, n, j, k) sent to another basis element of arity m + n - 1
-SEEDED_COMPOSITIONS = [(2, 1, 2, 1, 1), (2, 1, 2, 2, 2), (3, 2, 2, 2, 1), (2, 2, 3, 1, 3)]
+def test_dias_axioms_group_runs_large_groups_in_chunks(monkeypatch):
+    # a byte bound far below one group's grid splits it into many chunks
+    # without changing a report, witnesses included
+    group = [d for d in (dict(zip("mnpij", slots)) for slots in axiom_slots(5)) if d["m"] == 5]
+    group = [d for d in group if (d["n"], d["p"]) == (4, 3)]
+    seed_compose(monkeypatch, (2, 4, 3, 1))
+    whole = k0.dias_axioms_group(group)
+    monkeypatch.setattr(k0, "STACK_BYTES", 3 * 8 * 5 * 4 * 3)
+    assert k0.dias_axioms_group(group) == whole
+    assert [r.witnesses for r in whole] == [looped_axiom_witnesses(*d.values()) for d in group]
+    assert sum(not r.passed for r in whole) > 0
+
+
+# one composition (i, n, j, k) of k0._compose sent to another basis element
+SEEDED_COMPOSITIONS = [(1, 2, 1, 1), (1, 2, 2, 2), (2, 2, 2, 1), (2, 3, 1, 3)]
 
 
 @pytest.mark.parametrize("seed", SEEDED_COMPOSITIONS)
-def test_seeded_composition_defect_keeps_witness_order(monkeypatch, fresh_caches, seed):
-    compose = dias_compose
-
-    def seeded(m, i, n, j, k):
-        value = compose(m, i, n, j, k)
-        if (m, i, n, j, k) == seed:
-            return value % (m + n - 1) + 1
-        return value
-
-    monkeypatch.setattr(k0, "dias_compose", seeded)
-    k0._compose_table.cache_clear()
+def test_seeded_composition_defect_keeps_witness_order(monkeypatch, seed):
+    # the sweep's groups and the one-pair check both read the seeded formula,
+    # and name the same witnesses as the triple loop over dias_compose
+    seed_compose(monkeypatch, seed)
     failed = 0
-    for slots in axiom_slots(3):
-        report = dias_operad_axiom_check(*slots)
-        assert report.witnesses == looped_axiom_witnesses(*slots), slots
-        failed += not report.passed
+    for group in group_tasks([("dias_axioms", dict(zip("mnpij", slots))) for slots in axiom_slots(3)]):
+        reports = run_group(group)
+        assert [r.params for r in reports] == [d for _, d in group]
+        for report, (_, d) in zip(reports, group):
+            slots = tuple(d.values())
+            assert report.witnesses == looped_axiom_witnesses(*slots), slots
+            assert report == dias_operad_axiom_check(*slots)
+            failed += not report.passed
     assert failed > 0
 
 

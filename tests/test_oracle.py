@@ -406,6 +406,18 @@ def test_tensor_of_rescaled_rational_module():
     assert all(type(v) is int or v.denominator != 1 for v in entries)
 
 
+def test_mutating_a_tensor_product_leaves_later_products_alone():
+    # tensor_over hands out lists of its own, not the tables' shared maps
+    args = (standard_module(n_support(3), PRIME_CFG), 1, standard_module(s_support(2, 1, 2), PRIME_CFG), 0)
+    first = tensor_over(*args)
+    for mat in first.maps.values():
+        for row in mat:
+            row[0] = 5
+    again = tensor_over(*args)
+    assert first.maps and first.maps != again.maps
+    assert_same_module(again, reference_tensor_over(*args))
+
+
 def reference_tensor_over(m1, a1, m2, a2):
     """Per-vertex tensor product: the balancing relations are eliminated at
     every result vertex, and each arrow map is induced label by label from
@@ -979,6 +991,8 @@ def test_certificates_build_each_standard_module_once(monkeypatch, certified):
     assert len(misses) == len(certified) and len(sides) > len(factors)
     assert len(built) == len(factors) and set(built) == factors
     for (s1, a1, s2, cfg), module in misses:
+        # the body keeps the table's tuples, which public tensor_over copies
+        module.maps = {key: [list(row) for row in mat] for key, mat in module.maps.items()}
         assert_same_module(module, tensor_over(standard(s1, cfg), a1, standard(s2, cfg), 0))
 
 

@@ -137,7 +137,6 @@ def test_sweep_builds_each_slot_support_once(monkeypatch):
     # distinct one of the sweep, so none is built twice
     real = families.s_support
     real.cache_clear()
-    k0.nabla_k0.cache_clear()
     seen = set()
 
     def recorded(m, i, n):

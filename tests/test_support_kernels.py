@@ -363,17 +363,18 @@ def test_group_body_matches_one_pair_calls(data):
         "commutativity": (commutativity_group, verify_commutativity),
         "associativity": (associativity_group, verify_associativity),
     }[verifier]
-    reports = group(m, n, p, chosen)
+    reports = group([{"m": m, "n": n, "p": p, "i": i, "j": j} for i, j in chosen])
     assert reports == [one(m, n, p, i, j) for i, j in chosen]
     assert reports == [per_pair_report(verifier, m, n, p, i, j) for i, j in chosen]
     assert all(r.passed for r in reports)
+    assert group([]) == []
 
 
 def test_group_body_runs_large_groups_in_chunks(monkeypatch):
     # a chunk bound far below one group's stacks splits it into many chunks
     # without changing a report
-    pairs = [(d["i"], d["j"]) for d in nested_domain(5, 4, 3) if (d["m"], d["n"], d["p"]) == (5, 4, 3)]
-    whole = associativity_group(5, 4, 3, pairs)
-    monkeypatch.setattr(families, "_STACK_POINTS", 3 * 10 * 5 * 4 * 3)
-    assert associativity_group(5, 4, 3, pairs) == whole
-    assert whole == [per_pair_report("associativity", 5, 4, 3, i, j) for i, j in pairs]
+    params = [d for d in nested_domain(5, 4, 3) if (d["m"], d["n"], d["p"]) == (5, 4, 3)]
+    whole = associativity_group(params)
+    monkeypatch.setattr(families, "STACK_BYTES", 3 * 10 * 5 * 4 * 3)
+    assert associativity_group(params) == whole
+    assert whole == [per_pair_report("associativity", 5, 4, 3, d["i"], d["j"]) for d in params]
