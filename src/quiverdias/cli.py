@@ -71,10 +71,9 @@ def cmd_verify(args) -> int:
         field_kind=args.field,
         prime=args.prime,
         workers=args.workers,
-        out_dir=args.out or os.environ.get(OUT_ENV, "."),
     )
     # an unusable --out is refused before the sweep, not after it
-    out_dir = Path(config.out_dir)
+    out_dir = Path(args.out or os.environ.get(OUT_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"verify-{args.suite}.jsonl"
     start = time.perf_counter()

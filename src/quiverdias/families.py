@@ -130,6 +130,37 @@ def quad_shape(m: int, n: int, p: int) -> Shape:
     return Shape((Axis(m + n + p - 2, OP), Axis(m), Axis(n), Axis(p)))
 
 
+# The two ways to compose twice, each stated once as the domain of its slot
+# pairs (i, j), for ints or broadcasting integer arrays like the clauses.
+def parallel(m, n, i, j):
+    """Slots i < j of one m-operation."""
+    return (1 <= i) & (i < j) & (j <= m)
+
+
+def nested(m, n, i, j):
+    """Slot j of the n-operation inserted at slot i of an m-operation."""
+    return (1 <= i) & (i <= m) & (1 <= j) & (j <= n)
+
+
+def parallel_or_nested(m, n, i, j):
+    """The pairs of the Dias axioms: each selects the parallel, the nested or both."""
+    return parallel(m, n, i, j) | nested(m, n, i, j)
+
+
+parallel.outside = "not a parallel pair (1 <= i < j <= m)"
+nested.outside = "not a nested pair (1 <= i <= m, 1 <= j <= n)"
+parallel_or_nested.outside = "neither a parallel pair (i < j <= m) nor a nested pair (j <= n)"
+
+
+def require_pairs(rule, m: int, n: int, i, j) -> None:
+    """Refuse the first slot pair of i, j (ints or arrays) outside the rule, named as ints."""
+    i, j = np.broadcast_arrays(i, j)
+    admitted = rule(m, n, i, j)
+    if not admitted.all():
+        k = int(np.argmin(admitted))
+        raise ValueError(f"slots i={i.flat[k]}, j={j.flat[k]} are {rule.outside} for m={m}, n={n}")
+
+
 def commutativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predicate]:
     """The five mu-disjoint clauses predicted for parallel composition."""
     return [
@@ -144,8 +175,7 @@ def commutativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predic
 def reference_commutativity_set(m: int, n: int, p: int, i, j) -> Support:
     """Expected support of both parallel compositions, on axes (g, mu, nu, pi);
     for index arrays i and j, one such set per pair along a leading axis."""
-    if not np.all((1 <= np.asarray(i)) & (i < np.asarray(j)) & (j <= m)):
-        raise ValueError(f"need 1 <= i < j <= m, got i={i}, j={j}, m={m}")
+    require_pairs(parallel, m, n, i, j)
     _require(n >= 1 and p >= 1, f"need n, p >= 1, got n={n}, p={p}")
     i, j = (np.reshape(x, np.shape(x) + (1,) * 4) for x in (i, j))
     return _from_predicate(quad_shape(m, n, p), *commutativity_clauses(m, n, p, i, j))
@@ -164,10 +194,7 @@ def associativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predic
 def reference_associativity_set(m: int, n: int, p: int, i, j) -> Support:
     """Expected support of both nested compositions, on axes (g, mu, nu, pi);
     for index arrays i and j, one such set per pair along a leading axis."""
-    if not np.all((1 <= np.asarray(i)) & (i <= m)):
-        raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
-    if not np.all((1 <= np.asarray(j)) & (j <= n)):
-        raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
+    require_pairs(nested, m, n, i, j)
     _require(p >= 1, f"need p >= 1, got p={p}")
     i, j = (np.reshape(x, np.shape(x) + (1,) * 4) for x in (i, j))
     return _from_predicate(quad_shape(m, n, p), *associativity_clauses(m, n, p, i, j))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import STACK_BYTES, s_support
+from .families import STACK_BYTES, nested, parallel, parallel_or_nested, require_pairs, s_support
 from .reports import Report, Witness
 from .supports import PLAIN, Axis, Shape, Support, contract
 
@@ -258,6 +258,8 @@ def inner_k0_group(params: list[dict]) -> list[Report]:
     nu form: nabla(m,i,n) . nu = (nu x id) . nabla(m,i-1,n); the tau form
     carries one -1 on each side, so it holds iff the nu form does.
     """
+    if not params:
+        return []
     m, n = params[0]["m"], params[0]["n"]
     for d in params:
         if not 2 <= d["i"] <= m:
@@ -285,32 +287,29 @@ def dias_axioms_group(params: list[dict]) -> list[Report]:
     elements, for whichever of the two each slot pair (i, j) of one
     (m, n, p) legally selects, over one (pair, a, b, c) grid of _compose.
 
-    Parallel (needs i < j <= m):
+    Parallel (families.parallel):
         (e_a o_j e_c) o_i e_b = (e_a o_i e_b) o_{j+n-1} e_c.
-    Nested (needs i <= m, j <= n):
+    Nested (families.nested):
         e_a o_i (e_b o_j e_c) = (e_a o_i e_b) o_{i+j-1} e_c.
     """
+    if not params:
+        return []
     m, n, p = params[0]["m"], params[0]["n"], params[0]["p"]
     if min(m, n, p) < 1:
         raise ValueError(f"need m, n, p >= 1, got {m}, {n}, {p}")
-    for d in params:
-        if not (1 <= d["i"] < d["j"] <= m or 1 <= d["i"] <= m and 1 <= d["j"] <= n):
-            raise ValueError(
-                f"slots i={d['i']}, j={d['j']} select neither the parallel (i<j<=m) nor "
-                f"the nested (i<=m, j<=n) axiom for m={m}, n={n}"
-            )
     reports = []
     step = max(1, STACK_BYTES // (8 * m * n * p))  # bytes of a pair's int64 grid
     a, b, c = (x + 1 for x in np.indices((m, n, p), sparse=True))
     for chunk in (params[s : s + step] for s in range(0, len(params), step)):
         i, j = (np.array([d[key] for d in chunk]).reshape(-1, 1, 1, 1) for key in "ij")
+        require_pairs(parallel_or_nested, m, n, i, j)
         ab = _compose(i, n, a, b)  # e_a o_i e_b, both right sides start there
         axioms = [
             (_compose(i, n, _compose(j, p, a, c), b), _compose(j + n - 1, p, ab, c)),
             (_compose(i, n + p - 1, a, _compose(j, p, b, c)), _compose(i + j - 1, p, ab, c)),
         ]
         lhs, rhs = (np.stack(np.broadcast_arrays(*side), axis=-1) for side in zip(*axioms))
-        selected = np.stack(np.broadcast_arrays((i < j) & (j <= m), j <= n), axis=-1)
+        selected = np.stack([parallel(m, n, i, j), nested(m, n, i, j)], axis=-1)
         found: list[list[Witness]] = [[] for _ in chunk]
         # argwhere runs (pair, a, b, c, axiom) row-major: parallel before nested
         for k, x, y, z, ax in np.argwhere((lhs != rhs) & selected).tolist():

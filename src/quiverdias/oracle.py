@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import n_support, regular_support, s_support
+from .families import n_support, nested, parallel, regular_support, require_pairs, s_support
 from .linalg import Matrix, PrimeField, RationalField, mat_mul, rref, reduce_mod_rows
 from .reports import Report, Witness
 from .supports import (
@@ -545,6 +545,7 @@ def oracle_commutativity_check(
     m: int, n: int, p: int, i: int, j: int, config: FieldConfig = FieldConfig()
 ) -> Report:
     """Tensor both parallel-composition sides and compare with contract."""
+    require_pairs(parallel, m, n, i, j)
     s_top_l, s_bot_l = s_support(m + p - 1, i, n), s_support(m, j, p)
     s_top_r, s_bot_r = s_support(m + n - 1, j + n - 1, p), s_support(m, i, n)
     witnesses: list[Witness] = []
@@ -561,6 +562,7 @@ def oracle_associativity_check(
     m: int, n: int, p: int, i: int, j: int, config: FieldConfig = FieldConfig()
 ) -> Report:
     """Tensor both nested-composition sides and compare with contract."""
+    require_pairs(nested, m, n, i, j)
     witnesses: list[Witness] = []
     sizes = []
     for tag, s_top, axis, s_bot in (
@@ -589,8 +591,8 @@ def oracle_nakayama_gamma_check(
 def oracle_nakayama_mu_check(m: int, n: int, i: int, config: FieldConfig = FieldConfig()) -> Report:
     """Tensoring with the Nakayama triangle on the length-m side is the
     predecessor reversal of the length-m axis (slot i-1 instances)."""
-    if i < 2:
-        raise ValueError(f"need i >= 2, got i={i}")
+    if not 2 <= i <= m:
+        raise ValueError(f"need 2 <= i <= m, got i={i}, m={m}")
     s = s_support(m, i - 1, n)
     predicted = fiber_reversal(s, 1, PREDECESSOR)
     # the result keeps (gamma, nu) from the left and regrows the plain

@@ -12,7 +12,10 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import families, k0, oracle
+from .families import nested, parallel, parallel_or_nested
 from .oracle import PRIME, RATIONAL, FieldConfig
 from .reports import Report
 
@@ -33,7 +36,6 @@ class SweepConfig:
     field_kind: str = PRIME
     prime: int = 32003
     workers: int = 1
-    out_dir: str = "."
 
     def __post_init__(self) -> None:
         if self.suite not in SUITES:
@@ -63,11 +65,9 @@ class SweepConfig:
         return FieldConfig(self.field_kind, self.prime)
 
     def echo(self) -> dict:
-        # worker count and output location are execution details: the file
-        # content must not depend on them
+        # the worker count is an execution detail: the file must not show it
         d = asdict(self)
         del d["workers"]
-        del d["out_dir"]
         d["effective_bounds"] = list(self.bounds)
         d["effective_oracle_max"] = self.effective_oracle_max
         return d
@@ -117,42 +117,14 @@ def run_group(group: list[Task]) -> list[Report]:
 # Parameter domains, each yielded in canonical (lexicographic) order.
 
 
-def parallel_domain(mm: int, mn: int, mp: int) -> Iterator[dict]:
-    """Parallel slot pairs: m, n, p within the bounds and 1 <= i < j <= m."""
-    return (
-        {"m": m, "n": n, "p": p, "i": i, "j": j}
-        for m in range(1, mm + 1)
-        for n in range(1, mn + 1)
-        for p in range(1, mp + 1)
-        for i in range(1, m + 1)
-        for j in range(i + 1, m + 1)
-    )
-
-
-def nested_domain(mm: int, mn: int, mp: int) -> Iterator[dict]:
-    """Nested slot pairs: m, n, p within the bounds, 1 <= i <= m, 1 <= j <= n."""
-    return (
-        {"m": m, "n": n, "p": p, "i": i, "j": j}
-        for m in range(1, mm + 1)
-        for n in range(1, mn + 1)
-        for p in range(1, mp + 1)
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-    )
-
-
-def either_domain(mm: int, mn: int, mp: int) -> Iterator[dict]:
-    """Slot pairs that are parallel or nested, each once: m, n, p within the
-    bounds, 1 <= i <= m, and i < j <= m or 1 <= j <= n."""
-    return (
-        {"m": m, "n": n, "p": p, "i": i, "j": j}
-        for m in range(1, mm + 1)
-        for n in range(1, mn + 1)
-        for p in range(1, mp + 1)
-        for i in range(1, m + 1)
-        for j in range(1, max(m, n) + 1)
-        if i < j <= m or j <= n
-    )
+def slot_pairs(mm: int, mn: int, mp: int, rule) -> Iterator[dict]:
+    """Slot pairs (i, j) that the rule admits, m, n, p within the bounds;
+    each (m, n) evaluates the rule once on its grid of pairs."""
+    for m, n in itertools.product(range(1, mm + 1), range(1, mn + 1)):
+        grid = np.indices((m, max(m, n))) + 1
+        pairs = grid[:, rule(m, n, *grid)].T.tolist()
+        for p in range(1, mp + 1):
+            yield from ({"m": m, "n": n, "p": p, "i": i, "j": j} for i, j in pairs)
 
 
 def pair_domain(mm: int, mn: int) -> Iterator[dict]:
@@ -179,8 +151,8 @@ def _oracle_tasks(k: int, config: FieldConfig) -> Iterator[Task]:
         # one config per field and sweep: it checked primality when built
         # and keeps its field object across the tasks that share it
         fc = {"config": cfg}
-        yield from (("oracle_commutativity", {**d, **fc}) for d in parallel_domain(k, k, k))
-        yield from (("oracle_associativity", {**d, **fc}) for d in nested_domain(k, k, k))
+        yield from (("oracle_commutativity", {**d, **fc}) for d in slot_pairs(k, k, k, parallel))
+        yield from (("oracle_associativity", {**d, **fc}) for d in slot_pairs(k, k, k, nested))
         for d in slot_domain(k, k, 1):
             yield "oracle_nakayama_gamma", {**d, **fc}
             yield "oracle_unit", {**d, **fc}
@@ -193,10 +165,10 @@ def _tasks(config: SweepConfig) -> Iterator[Task]:
     mm, mn, mp = config.bounds
     # (suite, verifier, domain) in report order; a domain starts when reached
     table = (
-        ("cooperad", "commutativity", parallel_domain(mm, mn, mp)),
-        ("cooperad", "associativity", nested_domain(mm, mn, mp)),
+        ("cooperad", "commutativity", slot_pairs(mm, mn, mp, parallel)),
+        ("cooperad", "associativity", slot_pairs(mm, mn, mp, nested)),
         ("cooperad", "duality", slot_domain(mm, mn, 1)),
-        ("cooperad", "dias_axioms", either_domain(mm, mn, mp)),
+        ("cooperad", "dias_axioms", slot_pairs(mm, mn, mp, parallel_or_nested)),
         ("anticyclic", "border", pair_domain(mm, mn)),
         ("anticyclic", "inner", slot_domain(mm, mn, 2)),
         ("anticyclic", "border_k0", pair_domain(mm, mn)),

@@ -26,7 +26,7 @@ from quiverdias.families import (
     verify_inner,
 )
 from quiverdias.reports import Witness
-from quiverdias.sweeps import group_tasks, nested_domain, parallel_domain, run_group
+from quiverdias.sweeps import group_tasks, run_group, slot_pairs
 from quiverdias.supports import (
     OP,
     PREDECESSOR,
@@ -379,11 +379,11 @@ def test_seeded_defect_is_named(verifier_name, data):
     assert report.witnesses == [Witness(check, point, detail) for check in references[name]]
 
 
-# the cooperad verifiers, the task domain of their sweep groups, and the
+# the cooperad verifiers, the slot-pair rule of their sweep groups, and the
 # reference that the group path reads
 GROUPED = {
-    "commutativity": (parallel_domain, "reference_commutativity_set"),
-    "associativity": (nested_domain, "reference_associativity_set"),
+    "commutativity": (families.parallel, "reference_commutativity_set"),
+    "associativity": (families.nested, "reference_associativity_set"),
 }
 
 
@@ -391,8 +391,8 @@ GROUPED = {
 def sweep_groups(draw):
     """The tasks of one sweep group with at least two slot pairs."""
     name = draw(st.sampled_from(sorted(GROUPED)))
-    domain, reference = GROUPED[name]
-    groups = [g for g in group_tasks([(name, d) for d in domain(4, 4, 4)]) if len(g) >= 2]
+    rule, reference = GROUPED[name]
+    groups = [g for g in group_tasks([(name, d) for d in slot_pairs(4, 4, 4, rule)]) if len(g) >= 2]
     return name, reference, draw(st.sampled_from(groups))
 
 

@@ -678,6 +678,11 @@ def test_dias_axiom_counts():
         assert report.right_size == (m * n * p if j <= n else 0)
 
 
+def test_empty_groups_give_no_reports():
+    assert k0.inner_k0_group([]) == []
+    assert k0.dias_axioms_group([]) == []
+
+
 def test_dias_axioms_group_runs_large_groups_in_chunks(monkeypatch):
     # a byte bound far below one group's grid splits it into many chunks
     # without changing a report, witnesses included

@@ -1135,8 +1135,9 @@ def test_sweep_certifies_through_the_public_checks(monkeypatch, seeded):
     assert (len(unfailed) < len(misses)) == seeded
 
 def test_oracle_nakayama_mu_needs_inner_slot():
-    with pytest.raises(ValueError, match="i >= 2"):
-        oracle_nakayama_mu_check(2, 2, 1, PRIME_CFG)
+    for i in (1, 3):
+        with pytest.raises(ValueError, match="2 <= i <= m"):
+            oracle_nakayama_mu_check(2, 2, i, PRIME_CFG)
 
 
 # --- seeded defects on the support-calculus side ---------------------------------

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -29,14 +30,12 @@ from quiverdias.reports import (
 from quiverdias.sweeps import (
     SweepConfig,
     build_tasks,
-    either_domain,
-    nested_domain,
     pair_domain,
-    parallel_domain,
     run_group,
     run_sweep,
     run_task,
     slot_domain,
+    slot_pairs,
 )
 
 
@@ -240,15 +239,70 @@ def test_domains_match_acceptance_ranges():
     def five(dom):
         return [(d["m"], d["n"], d["p"], d["i"], d["j"]) for d in dom]
 
-    assert five(parallel_domain(5, 5, 5)) == crit1
-    assert five(nested_domain(5, 5, 5)) == crit2
+    assert five(slot_pairs(5, 5, 5, families.parallel)) == crit1
+    assert five(slot_pairs(5, 5, 5, families.nested)) == crit2
     assert [(d["m"], d["n"]) for d in pair_domain(6, 6)] == crit3
     assert [(d["m"], d["n"], d["i"]) for d in slot_domain(6, 6, 2)] == crit4
 
-    # the axiom check's pairs: every pair of either domain, once, sorted
+    # the axiom check's pairs: every pair of either rule, once, sorted
     for bounds in ((5, 5, 5), (4, 2, 3), (2, 5, 1), (3, 6, 2)):
-        union = {five([d])[0]: d for d in [*parallel_domain(*bounds), *nested_domain(*bounds)]}
-        assert five(either_domain(*bounds)) == sorted(union)
+        union = set(five(slot_pairs(*bounds, families.parallel)))
+        union |= set(five(slot_pairs(*bounds, families.nested)))
+        assert five(slot_pairs(*bounds, families.parallel_or_nested)) == sorted(union)
+
+
+# every verifier with slot parameters, and its parameter names in call order
+SLOT_VERIFIERS = {
+    "commutativity": "mnpij",
+    "associativity": "mnpij",
+    "dias_axioms": "mnpij",
+    "duality": "mni",
+    "inner": "mni",
+    "inner_k0": "mni",
+    "oracle_commutativity": "mnpij",
+    "oracle_associativity": "mnpij",
+    "oracle_nakayama_gamma": "mni",
+    "oracle_nakayama_mu": "mni",
+    "oracle_unit": "mni",
+}
+
+
+def test_verifiers_accept_exactly_their_sweep_domain():
+    # in a box of sizes 0..3 and slots 0..max(m, n) + 2, each verifier passes
+    # on exactly the parameters its sweep yields and refuses all others
+    domains = {name: set() for name in SLOT_VERIFIERS}
+    for name, d in build_tasks(SweepConfig(suite="all", max_m=3)):
+        if name in domains:
+            domains[name].add(tuple(d[key] for key in SLOT_VERIFIERS[name]))
+    field = {"config": FieldConfig("prime", 32003)}
+    for name, keys in SLOT_VERIFIERS.items():
+        extra = field if name.startswith("oracle") else {}
+        accepted = set()
+        for sizes in itertools.product(range(4), repeat=keys.index("i")):
+            slots = range(max(sizes[:2]) + 3)
+            for point in itertools.product(slots, repeat=len(keys) - len(sizes)):
+                params = dict(zip(keys, sizes + point), **extra)
+                try:
+                    report = run_task((name, params))
+                except ValueError:
+                    continue
+                assert report.passed, (name, params)
+                accepted.add(sizes + point)
+        assert accepted == domains[name], name
+
+
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        (("commutativity", (3, 1, 1, 2, 2)), "slots i=2, j=2 are not a parallel pair"),
+        (("oracle_associativity", (2, 2, 1, 1, 3)), "slots i=1, j=3 are not a nested pair"),
+        (("dias_axioms", (2, 1, 1, 2, 2)), "slots i=2, j=2 are neither a parallel pair"),
+    ],
+)
+def test_refusals_name_the_slot_pair_as_ints(task, message):
+    name, args = task
+    with pytest.raises(ValueError, match=f"^{message} "):
+        run_task((name, dict(zip("mnpij", args))))
 
 
 @pytest.mark.parametrize(

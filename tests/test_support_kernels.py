@@ -44,7 +44,8 @@ from quiverdias.supports import (
     permute_axes,
     validate_standard,
 )
-from quiverdias.sweeps import nested_domain, parallel_domain
+from quiverdias.families import nested, parallel
+from quiverdias.sweeps import slot_pairs
 
 # --- point-set reference ------------------------------------------------------
 
@@ -356,8 +357,8 @@ def per_pair_report(verifier, m, n, p, i, j):
 def test_group_body_matches_one_pair_calls(data):
     verifier = data.draw(st.sampled_from(["commutativity", "associativity"]))
     m, n, p = (data.draw(st.integers(1, 4)) for _ in range(3))
-    domain = parallel_domain if verifier == "commutativity" else nested_domain
-    pairs = [(d["i"], d["j"]) for d in domain(m, n, p) if (d["m"], d["n"], d["p"]) == (m, n, p)]
+    rule = parallel if verifier == "commutativity" else nested
+    pairs = [(d["i"], d["j"]) for d in slot_pairs(m, n, p, rule) if (d["m"], d["n"], d["p"]) == (m, n, p)]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     group, one = {
         "commutativity": (commutativity_group, verify_commutativity),
@@ -373,7 +374,7 @@ def test_group_body_matches_one_pair_calls(data):
 def test_group_body_runs_large_groups_in_chunks(monkeypatch):
     # a chunk bound far below one group's stacks splits it into many chunks
     # without changing a report
-    params = [d for d in nested_domain(5, 4, 3) if (d["m"], d["n"], d["p"]) == (5, 4, 3)]
+    params = [d for d in slot_pairs(5, 4, 3, nested) if (d["m"], d["n"], d["p"]) == (5, 4, 3)]
     whole = associativity_group(params)
     monkeypatch.setattr(families, "STACK_BYTES", 3 * 10 * 5 * 4 * 3)
     assert associativity_group(params) == whole
