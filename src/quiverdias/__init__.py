@@ -3,6 +3,8 @@ the diassociative cooperad carried by type-A quiver module categories."""
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .supports import (
     OP,
     PLAIN,
@@ -49,17 +51,24 @@ from .k0 import (
     verify_border_k0,
     verify_inner_k0,
 )
-from .oracle import (
-    FieldConfig,
-    QuiverModule,
-    check_relations,
-    iso_to_standard,
-    standard_module,
-    tensor_over,
-)
+from .fields import FieldConfig
 from .reports import Report, Witness
-from .serialize import dumps_support, loads_support
 from .sweeps import SweepConfig, run_sweep
+
+# served on first use (PEP 562): importing the package, as the command line
+# does, loads neither the oracle with its linear algebra nor the support codec
+_LAZY = {
+    "oracle": ("QuiverModule", "check_relations", "iso_to_standard", "standard_module", "tensor_over"),
+    "serialize": ("dumps_support", "loads_support"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

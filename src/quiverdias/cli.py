@@ -20,9 +20,7 @@ import time
 from pathlib import Path
 
 from . import families
-from .render import render_ascii, render_svg
 from .reports import write_report_file
-from .serialize import dumps_support, loads_support
 from .supports import Support
 from .sweeps import SUITES, SweepConfig, run_sweep
 
@@ -47,6 +45,10 @@ def _build_family(args) -> Support:
 
 
 def cmd_support(args) -> int:
+    # imported here, like the oracle and the pool: verify needs neither
+    from .render import render_ascii, render_svg
+    from .serialize import dumps_support
+
     support = _build_family(args)
     if args.format == "text":
         out = dumps_support(support)
@@ -87,6 +89,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .serialize import dumps_support, loads_support
+
     text = Path(args.path).read_text()
     support = loads_support(text)
     sys.stdout.write(dumps_support(support))

@@ -70,7 +70,7 @@ def s_support(m: int, i: int, n: int) -> Support:
     a Support is immutable, so callers share one object per argument triple;
     the cache holds every triple of a cooperad sweep up to --max 12 (4,170).
     """
-    _require(1 <= i <= m, f"need 1 <= i <= m, got i={i}, m={m}")
+    require_slots(any_slot, m, n, i)
     _require(n >= 1, f"need n >= 1, got n={n}")
 
     def member(g, mu, nu):
@@ -91,7 +91,7 @@ def s_support_alt_clauses(m: int, i: int, n: int) -> list[Predicate]:
 
 def s_support_alt(m: int, i: int, n: int) -> Support:
     """Same set as s_support, built from the alternative clause system."""
-    _require(1 <= i <= m, f"need 1 <= i <= m, got i={i}, m={m}")
+    require_slots(any_slot, m, n, i)
     _require(n >= 1, f"need n >= 1, got n={n}")
     return _from_predicate(triple_shape(m, n), *s_support_alt_clauses(m, i, n))
 
@@ -131,7 +131,8 @@ def quad_shape(m: int, n: int, p: int) -> Shape:
 
 
 # The two ways to compose twice, each stated once as the domain of its slot
-# pairs (i, j), for ints or broadcasting integer arrays like the clauses.
+# pairs (i, j), and the two single-slot domains, for ints or broadcasting
+# integer arrays like the clauses.
 def parallel(m, n, i, j):
     """Slots i < j of one m-operation."""
     return (1 <= i) & (i < j) & (j <= m)
@@ -147,18 +148,33 @@ def parallel_or_nested(m, n, i, j):
     return parallel(m, n, i, j) | nested(m, n, i, j)
 
 
-parallel.outside = "not a parallel pair (1 <= i < j <= m)"
-nested.outside = "not a nested pair (1 <= i <= m, 1 <= j <= n)"
-parallel_or_nested.outside = "neither a parallel pair (i < j <= m) nor a nested pair (j <= n)"
+def any_slot(m, n, i):
+    """Slot i of an m-operation."""
+    return (1 <= i) & (i <= m)
 
 
-def require_pairs(rule, m: int, n: int, i, j) -> None:
-    """Refuse the first slot pair of i, j (ints or arrays) outside the rule, named as ints."""
-    i, j = np.broadcast_arrays(i, j)
-    admitted = rule(m, n, i, j)
+def inner_slot(m, n, i):
+    """A slot with one before it: the inner identities relate slots i - 1 and i."""
+    return (2 <= i) & (i <= m)
+
+
+parallel.outside = "are not a parallel pair (1 <= i < j <= m)"
+nested.outside = "are not a nested pair (1 <= i <= m, 1 <= j <= n)"
+parallel_or_nested.outside = "are neither a parallel pair (i < j <= m) nor a nested pair (j <= n)"
+any_slot.outside = "is not a slot (1 <= i <= m)"
+inner_slot.outside = "is not an inner slot (2 <= i <= m)"
+
+
+def require_slots(rule, m: int, n: int, *slots) -> None:
+    """Refuse the first slot i, or slot pair i, j, of ints or arrays outside
+    the rule, named as ints."""
+    slots = np.broadcast_arrays(*slots)
+    admitted = rule(m, n, *slots)
     if not admitted.all():
         k = int(np.argmin(admitted))
-        raise ValueError(f"slots i={i.flat[k]}, j={j.flat[k]} are {rule.outside} for m={m}, n={n}")
+        named = ", ".join(f"{name}={a.flat[k]}" for name, a in zip("ij", slots))
+        noun = "slots" if len(slots) > 1 else "slot"
+        raise ValueError(f"{noun} {named} {rule.outside} for m={m}, n={n}")
 
 
 def commutativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predicate]:
@@ -175,7 +191,7 @@ def commutativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predic
 def reference_commutativity_set(m: int, n: int, p: int, i, j) -> Support:
     """Expected support of both parallel compositions, on axes (g, mu, nu, pi);
     for index arrays i and j, one such set per pair along a leading axis."""
-    require_pairs(parallel, m, n, i, j)
+    require_slots(parallel, m, n, i, j)
     _require(n >= 1 and p >= 1, f"need n, p >= 1, got n={n}, p={p}")
     i, j = (np.reshape(x, np.shape(x) + (1,) * 4) for x in (i, j))
     return _from_predicate(quad_shape(m, n, p), *commutativity_clauses(m, n, p, i, j))
@@ -194,7 +210,7 @@ def associativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predic
 def reference_associativity_set(m: int, n: int, p: int, i, j) -> Support:
     """Expected support of both nested compositions, on axes (g, mu, nu, pi);
     for index arrays i and j, one such set per pair along a leading axis."""
-    require_pairs(nested, m, n, i, j)
+    require_slots(nested, m, n, i, j)
     _require(p >= 1, f"need p >= 1, got p={p}")
     i, j = (np.reshape(x, np.shape(x) + (1,) * 4) for x in (i, j))
     return _from_predicate(quad_shape(m, n, p), *associativity_clauses(m, n, p, i, j))
@@ -370,7 +386,7 @@ def inner_shift_reference(m: int, n: int, i: int) -> Support:
 def verify_inner(m: int, n: int, i: int) -> Report:
     """Check the inner compatibility: op-axis reversal at slot i equals the
     length-m reversal at slot i-1, with both displayed sets matched."""
-    _require(2 <= i <= m, f"need 2 <= i <= m, got i={i}, m={m}")
+    require_slots(inner_slot, m, n, i)
     _require(n >= 1, f"need n >= 1, got n={n}")
     left = fiber_reversal(s_support(m, i, n), 0, SUCCESSOR)
     right = fiber_reversal(s_support(m, i - 1, n), 1, PREDECESSOR)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import STACK_BYTES, nested, parallel, parallel_or_nested, require_pairs, s_support
+from .families import STACK_BYTES, inner_slot, nested, parallel, parallel_or_nested
+from .families import require_slots, s_support
 from .reports import Report, Witness
 from .supports import PLAIN, Axis, Shape, Support, contract
 
@@ -261,9 +262,7 @@ def inner_k0_group(params: list[dict]) -> list[Report]:
     if not params:
         return []
     m, n = params[0]["m"], params[0]["n"]
-    for d in params:
-        if not 2 <= d["i"] <= m:
-            raise ValueError(f"need 2 <= i <= m, got i={d['i']}, m={m}")
+    require_slots(inner_slot, m, n, [d["i"] for d in params])
     slots = sorted({s for d in params for s in (d["i"] - 1, d["i"])})
     nab = dict(zip(slots, _nablas(m, slots, n)))
     return [
@@ -302,7 +301,7 @@ def dias_axioms_group(params: list[dict]) -> list[Report]:
     a, b, c = (x + 1 for x in np.indices((m, n, p), sparse=True))
     for chunk in (params[s : s + step] for s in range(0, len(params), step)):
         i, j = (np.array([d[key] for d in chunk]).reshape(-1, 1, 1, 1) for key in "ij")
-        require_pairs(parallel_or_nested, m, n, i, j)
+        require_slots(parallel_or_nested, m, n, i, j)
         ab = _compose(i, n, a, b)  # e_a o_i e_b, both right sides start there
         axioms = [
             (_compose(i, n, _compose(j, p, a, c), b), _compose(j + n - 1, p, ab, c)),

@@ -13,12 +13,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
-from .families import n_support, nested, parallel, regular_support, require_pairs, s_support
-from .linalg import Matrix, PrimeField, RationalField, mat_mul, rref, reduce_mod_rows
+from .families import inner_slot, n_support, nested, parallel, regular_support
+from .families import require_slots, s_support
+# the field choice lives in fields, which a sweep reads without this module
+from .fields import MAX_PRIME, PRIME, RATIONAL, FieldConfig, is_prime
+from .linalg import Matrix, mat_mul, rref, reduce_mod_rows
 from .reports import Report, Witness
 from .supports import (
     OP,
@@ -34,47 +36,6 @@ from .supports import (
     permute_axes,
     validate_standard,
 )
-
-RATIONAL = "rational"
-PRIME = "prime"
-# exclusive bound on the prime modulus: primality is decided by trial
-# division, which is instant below it and would hang on a large prime
-MAX_PRIME = 2**31
-
-
-def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 2
-    return True
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    """Choice of exact scalar field for the oracle."""
-
-    kind: str = PRIME
-    q: int = 32003
-
-    def __post_init__(self) -> None:
-        if self.kind not in (PRIME, RATIONAL):
-            raise ValueError(f"kind must be {PRIME!r} or {RATIONAL!r}, got {self.kind!r}")
-        if self.kind == PRIME:
-            if self.q >= MAX_PRIME:
-                raise ValueError(f"modulus {self.q} is too large: it must be below 2**31")
-            if not is_prime(self.q):
-                raise ValueError(f"modulus {self.q} is not prime")
-
-    @cached_property
-    def field(self):
-        """The field itself, built once per config."""
-        return PrimeField(self.q) if self.kind == PRIME else RationalField()
 
 
 @dataclass
@@ -545,7 +506,7 @@ def oracle_commutativity_check(
     m: int, n: int, p: int, i: int, j: int, config: FieldConfig = FieldConfig()
 ) -> Report:
     """Tensor both parallel-composition sides and compare with contract."""
-    require_pairs(parallel, m, n, i, j)
+    require_slots(parallel, m, n, i, j)
     s_top_l, s_bot_l = s_support(m + p - 1, i, n), s_support(m, j, p)
     s_top_r, s_bot_r = s_support(m + n - 1, j + n - 1, p), s_support(m, i, n)
     witnesses: list[Witness] = []
@@ -562,7 +523,7 @@ def oracle_associativity_check(
     m: int, n: int, p: int, i: int, j: int, config: FieldConfig = FieldConfig()
 ) -> Report:
     """Tensor both nested-composition sides and compare with contract."""
-    require_pairs(nested, m, n, i, j)
+    require_slots(nested, m, n, i, j)
     witnesses: list[Witness] = []
     sizes = []
     for tag, s_top, axis, s_bot in (
@@ -591,8 +552,7 @@ def oracle_nakayama_gamma_check(
 def oracle_nakayama_mu_check(m: int, n: int, i: int, config: FieldConfig = FieldConfig()) -> Report:
     """Tensoring with the Nakayama triangle on the length-m side is the
     predecessor reversal of the length-m axis (slot i-1 instances)."""
-    if not 2 <= i <= m:
-        raise ValueError(f"need 2 <= i <= m, got i={i}, m={m}")
+    require_slots(inner_slot, m, n, i)
     s = s_support(m, i - 1, n)
     predicted = fiber_reversal(s, 1, PREDECESSOR)
     # the result keeps (gamma, nu) from the left and regrows the plain

@@ -7,16 +7,18 @@ count, so files are reproducible.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import os
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import families, k0, oracle
-from .families import nested, parallel, parallel_or_nested
-from .oracle import PRIME, RATIONAL, FieldConfig
+from . import families, k0
+from .families import any_slot, inner_slot, nested, parallel, parallel_or_nested
+from .fields import PRIME, RATIONAL, FieldConfig
 from .reports import Report
 
 SUITES = ("cooperad", "anticyclic", "oracle", "all")
@@ -73,6 +75,12 @@ class SweepConfig:
         return d
 
 
+def _oracle(name: str):
+    """The oracle check of that name, looked up on the module when called: the
+    oracle loads with the first oracle task, and a check rebound there runs."""
+    return lambda **params: getattr(importlib.import_module(".oracle", __package__), name)(**params)
+
+
 _VERIFIERS = {
     "commutativity": families.verify_commutativity,
     "associativity": families.verify_associativity,
@@ -83,11 +91,11 @@ _VERIFIERS = {
     "border_k0": k0.verify_border_k0,
     "inner_k0": k0.verify_inner_k0,
     "tau_order": k0.tau_order_check,
-    "oracle_commutativity": oracle.oracle_commutativity_check,
-    "oracle_associativity": oracle.oracle_associativity_check,
-    "oracle_nakayama_gamma": oracle.oracle_nakayama_gamma_check,
-    "oracle_nakayama_mu": oracle.oracle_nakayama_mu_check,
-    "oracle_unit": oracle.oracle_unit_check,
+    "oracle_commutativity": _oracle("oracle_commutativity_check"),
+    "oracle_associativity": _oracle("oracle_associativity_check"),
+    "oracle_nakayama_gamma": _oracle("oracle_nakayama_gamma_check"),
+    "oracle_nakayama_mu": _oracle("oracle_nakayama_mu_check"),
+    "oracle_unit": _oracle("oracle_unit_check"),
 }
 
 
@@ -132,13 +140,14 @@ def pair_domain(mm: int, mn: int) -> Iterator[dict]:
     return ({"m": m, "n": n} for m in range(1, mm + 1) for n in range(1, mn + 1))
 
 
-def slot_domain(mm: int, mn: int, first: int) -> Iterator[dict]:
-    """(m, n) within the bounds and a slot first <= i <= m."""
+def slot_domain(mm: int, mn: int, rule) -> Iterator[dict]:
+    """(m, n) within the bounds and the slots i of m that the rule admits."""
     return (
         {"m": m, "n": n, "i": i}
         for m in range(1, mm + 1)
         for n in range(1, mn + 1)
-        for i in range(first, m + 1)
+        for i in range(1, m + 1)
+        if rule(m, n, i)
     )
 
 
@@ -153,10 +162,10 @@ def _oracle_tasks(k: int, config: FieldConfig) -> Iterator[Task]:
         fc = {"config": cfg}
         yield from (("oracle_commutativity", {**d, **fc}) for d in slot_pairs(k, k, k, parallel))
         yield from (("oracle_associativity", {**d, **fc}) for d in slot_pairs(k, k, k, nested))
-        for d in slot_domain(k, k, 1):
+        for d in slot_domain(k, k, any_slot):
             yield "oracle_nakayama_gamma", {**d, **fc}
             yield "oracle_unit", {**d, **fc}
-            if d["i"] >= 2:
+            if inner_slot(**d):
                 yield "oracle_nakayama_mu", {**d, **fc}
 
 
@@ -167,12 +176,12 @@ def _tasks(config: SweepConfig) -> Iterator[Task]:
     table = (
         ("cooperad", "commutativity", slot_pairs(mm, mn, mp, parallel)),
         ("cooperad", "associativity", slot_pairs(mm, mn, mp, nested)),
-        ("cooperad", "duality", slot_domain(mm, mn, 1)),
+        ("cooperad", "duality", slot_domain(mm, mn, any_slot)),
         ("cooperad", "dias_axioms", slot_pairs(mm, mn, mp, parallel_or_nested)),
         ("anticyclic", "border", pair_domain(mm, mn)),
-        ("anticyclic", "inner", slot_domain(mm, mn, 2)),
+        ("anticyclic", "inner", slot_domain(mm, mn, inner_slot)),
         ("anticyclic", "border_k0", pair_domain(mm, mn)),
-        ("anticyclic", "inner_k0", slot_domain(mm, mn, 2)),
+        ("anticyclic", "inner_k0", slot_domain(mm, mn, inner_slot)),
         ("anticyclic", "tau_order", ({"n": n} for n in range(1, mm + mn))),
     )
     for suite, name, domain in table:
@@ -191,18 +200,26 @@ def run_sweep(config: SweepConfig) -> Iterator[Report]:
     """Yield the reports in task order; nothing runs until the first is asked
     for, and a serial sweep makes one group's tasks at a time."""
     groups = group_tasks(_tasks(config))
-    # the executor starts its workers up front and takes every group at
-    # once, so never ask for more workers than the machine or the sweep can use
+    # never start more workers than the machine or the sweep can use; the
+    # sweep is sized from its first groups, not listed
     workers = min(config.workers, os.cpu_count() or 1)
     if workers > 1:
-        groups = list(groups)
-        workers = min(workers, len(groups))
+        head = list(itertools.islice(groups, workers))
+        workers = min(workers, len(head))
+        groups = itertools.chain(head, groups)
     if workers > 1:
         # imported here: the pool machinery costs every serial run its import
         from concurrent.futures import ProcessPoolExecutor
 
-        # a group goes whole to one worker, which shares its maps across it
+        # a group goes whole to one worker, which shares its maps across it;
+        # at most two groups per worker are in flight, taken in order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from itertools.chain.from_iterable(pool.map(run_group, groups))
+            pending = deque()
+            for group in groups:
+                if len(pending) == 2 * workers:
+                    yield from pending.popleft().result()
+                pending.append(pool.submit(run_group, group))
+            while pending:
+                yield from pending.popleft().result()
     else:
         yield from itertools.chain.from_iterable(map(run_group, groups))

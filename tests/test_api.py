@@ -17,6 +17,15 @@ def test_every_exported_name_resolves():
     assert len(set(quiverdias.__all__)) == len(quiverdias.__all__)
 
 
+def test_field_config_is_one_class_wherever_it_is_imported():
+    # it lives in quiverdias.fields; the package and the oracle re-export it
+    from quiverdias import fields, oracle
+    from quiverdias.oracle import FieldConfig, is_prime
+
+    assert quiverdias.FieldConfig is oracle.FieldConfig is FieldConfig is fields.FieldConfig
+    assert is_prime is fields.is_prime
+
+
 def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from quiverdias import *", namespace)

@@ -250,6 +250,11 @@ def test_verify_config_error_exit_2(capsys):
     assert "oracle max" in capsys.readouterr().err
     assert main(["verify", "--max", "0"]) == 2
     assert main(["verify", "--field", "prime", "--prime", "10", "--max", "2"]) == 2
+    # checked for every suite, also those that never build a field
+    capsys.readouterr()
+    for suite in ("cooperad", "anticyclic"):
+        assert main(["verify", "--suite", suite, "--prime", "10", "--max", "2"]) == 2
+        assert "modulus 10 is not prime" in capsys.readouterr().err
 
 
 def test_verify_negative_bound_exit_2(capsys, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quiverdias import k0
-from quiverdias.families import interval_support, s_support
+from quiverdias.families import inner_slot, interval_support, s_support
 from quiverdias.k0 import (
     K0Map,
     dias_compose,
@@ -503,7 +503,7 @@ def test_seeded_slot_fails_only_the_group_reports_that_read_it(monkeypatch, seed
     # stack; a defect in slot s fails exactly the reports at i = s (left
     # side) and i = s + 1 (right side), each with its one-slot witnesses
     m, s, n = seed
-    group = [("inner_k0", d) for d in slot_domain(m, n, 2) if (d["m"], d["n"]) == (m, n)]
+    group = [("inner_k0", d) for d in slot_domain(m, n, inner_slot) if (d["m"], d["n"]) == (m, n)]
     seed_nablas(monkeypatch, seed, entry)
     reports = run_group(group)
     assert [r.params for r in reports] == [d for _, d in group]

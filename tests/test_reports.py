@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -242,7 +243,7 @@ def test_domains_match_acceptance_ranges():
     assert five(slot_pairs(5, 5, 5, families.parallel)) == crit1
     assert five(slot_pairs(5, 5, 5, families.nested)) == crit2
     assert [(d["m"], d["n"]) for d in pair_domain(6, 6)] == crit3
-    assert [(d["m"], d["n"], d["i"]) for d in slot_domain(6, 6, 2)] == crit4
+    assert [(d["m"], d["n"], d["i"]) for d in slot_domain(6, 6, families.inner_slot)] == crit4
 
     # the axiom check's pairs: every pair of either rule, once, sorted
     for bounds in ((5, 5, 5), (4, 2, 3), (2, 5, 1), (3, 6, 2)):
@@ -337,14 +338,24 @@ def test_serial_sweep_makes_tasks_as_it_asks_for_them():
     assert peak < 2**20
 
 
-def test_worker_pool_is_bounded(monkeypatch):
-    # a fake executor records the pool size and maps serially, so no
-    # process is started whatever the requested worker count
-    sizes = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    # a fake executor records each pool's size and the groups in flight, and
+    # runs a group when its result is asked for, so no process is started
+    # whatever the requested worker count
+    record = SimpleNamespace(sizes=[], submitted=0, in_flight=0, most=0)
+
+    class FakeFuture:
+        def __init__(self, fn, arg):
+            self.fn, self.arg = fn, arg
+
+        def result(self):
+            record.in_flight -= 1
+            return self.fn(self.arg)
 
     class FakePool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -352,10 +363,18 @@ def test_worker_pool_is_bounded(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, arg):
+            record.submitted += 1
+            record.in_flight += 1
+            record.most = max(record.most, record.in_flight)
+            return FakeFuture(fn, arg)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return record
+
+
+def test_worker_pool_is_bounded(monkeypatch, fake_pool):
+    sizes = fake_pool.sizes
     many = SweepConfig(suite="anticyclic", max_m=2, workers=100_000)
     three_tasks = SweepConfig(suite="anticyclic", max_m=1, workers=100_000)
     assert len(build_tasks(three_tasks)) == 3
@@ -376,13 +395,70 @@ def test_worker_pool_is_bounded(monkeypatch):
     assert sizes == [4, 3, 7]  # core count unknown: serial, no pool
 
 
+def test_pool_keeps_two_groups_per_worker_in_flight(monkeypatch, fake_pool):
+    # the pool takes groups as it returns reports, not the whole sweep at once
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    config = SweepConfig(suite="cooperad", max_m=3, workers=2)
+    serial = list(run_sweep(SweepConfig(suite="cooperad", max_m=3)))
+    sweep = run_sweep(config)
+    first = next(sweep)
+    assert fake_pool.submitted == 4  # the first report waited for no later group
+    assert [first, *sweep] == serial
+    assert fake_pool.sizes == [2] and fake_pool.most == 4
+    assert fake_pool.submitted == len(list(sweeps.group_tasks(sweeps._tasks(config)))) > 4
+
+
 def test_cli_import_leaves_the_pool_machinery_unloaded():
     # a serial sweep, and every process that only builds tasks, skips the
     # import of concurrent.futures.process and multiprocessing
+    code = "import sys, quiverdias.cli; print('multiprocessing' in sys.modules)"
+    assert run_python(code) == ["False"]
+
+
+def run_python(code: str, *args: str) -> list[str]:
+    """The last line of a fresh interpreter's output, split, with src on its path."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, quiverdias.cli; print('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    return proc.stdout.splitlines()[-1].split()
+
+
+LAZY_MODULES = ("quiverdias.oracle", "quiverdias.linalg", "fractions",
+                "quiverdias.render", "quiverdias.serialize")
+
+
+@pytest.mark.parametrize("suite, oracle_loaded", [
+    ("cooperad", False), ("anticyclic", False), ("oracle", True),
+])
+def test_only_oracle_tasks_load_the_oracle(tmp_path, suite, oracle_loaded):
+    # the support and class suites run without the oracle, its exact linear
+    # algebra (and fractions with it), the renderer and the support codec
+    code = (
+        "import sys\n"
+        "from quiverdias.cli import main\n"
+        "code = main(['verify', '--suite', sys.argv[1], '--max', '2', '--out', sys.argv[2]])\n"
+        "print(code, *(name in sys.modules for name in sys.argv[3:]))\n"
+    )
+    loaded = run_python(code, suite, str(tmp_path), *LAZY_MODULES)
+    assert loaded == ["0"] + [str(oracle_loaded)] * 3 + ["False"] * 2
+
+
+def test_sweep_calls_the_oracle_check_bound_on_the_module(monkeypatch):
+    # the sweep looks the oracle's checks up when it runs them, so a check
+    # rebound on the module (as the bench tracer does) is the one called
+    from quiverdias import oracle
+
+    calls = []
+
+    def unit_check(**params):
+        calls.append(params)
+        return Report("oracle_unit", {"call": len(calls)}, 0, 0, [])
+
+    monkeypatch.setattr(oracle, "oracle_unit_check", unit_check)
+    reports = list(run_sweep(SweepConfig(suite="oracle", max_m=1)))
+    assert [r.params for r in reports if r.verifier == "oracle_unit"] == [{"call": 1}, {"call": 2}]
+    assert [c["config"].kind for c in calls] == ["prime", "rational"]
