@@ -17,9 +17,11 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import families
+from .fields import PRIME, RATIONAL
 from .reports import write_report_file
 from .supports import Support
 from .sweeps import SUITES, SweepConfig, run_sweep
@@ -64,16 +66,7 @@ def cmd_support(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = SweepConfig(
-        suite=args.suite,
-        max_m=args.max,
-        max_n=args.max_n,
-        max_p=args.max_p,
-        oracle_max=args.oracle_max,
-        field_kind=args.field,
-        prime=args.prime,
-        workers=args.workers,
-    )
+    config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
     # an unusable --out is refused before the sweep, not after it
     out_dir = Path(args.out or os.environ.get(OUT_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -116,16 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_support)
 
     vp = sub.add_parser("verify", help="run verification sweeps")
-    vp.add_argument("--suite", default="all", choices=SUITES)
-    vp.add_argument("--max", type=int, default=4, help="bound on m (and n, p unless overridden)")
-    vp.add_argument("--max-n", dest="max_n", type=int, default=0)
-    vp.add_argument("--max-p", dest="max_p", type=int, default=0)
-    vp.add_argument("--oracle-max", dest="oracle_max", type=int, default=0)
-    vp.add_argument("--field", default="prime", choices=("prime", "rational"))
-    vp.add_argument("--prime", type=int, default=32003)
-    vp.add_argument("--workers", type=int, default=1)
+    vp.add_argument("--suite", choices=SUITES)
+    vp.add_argument("--max", dest="max_m", type=int, help="bound on m (and n, p unless overridden)")
+    vp.add_argument("--max-n", dest="max_n", type=int)
+    vp.add_argument("--max-p", dest="max_p", type=int)
+    vp.add_argument("--oracle-max", dest="oracle_max", type=int)
+    vp.add_argument("--field", dest="field_kind", choices=(PRIME, RATIONAL))
+    vp.add_argument("--prime", type=int)
+    vp.add_argument("--workers", type=int)
     vp.add_argument("--out", help=f"output directory (default: ${OUT_ENV} or .)")
-    vp.set_defaults(func=cmd_verify)
+    # each sweep flag sets the SweepConfig field of its dest, default included
+    vp.set_defaults(func=cmd_verify, **{f.name: f.default for f in fields(SweepConfig)})
 
     rp = sub.add_parser("roundtrip", help="canonicalize a support document")
     rp.add_argument("path")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import STACK_BYTES, inner_slot, nested, parallel, parallel_or_nested
+from .families import STACK_BYTES, any_slot, inner_slot, nested, parallel, parallel_or_nested
 from .families import require_slots, s_support
 from .reports import Report, Witness
 from .supports import PLAIN, Axis, Shape, Support, contract
@@ -112,8 +112,8 @@ def _nablas(m: int, slots, n: int) -> list[K0Map]:
     stacked = Support(Shape((Axis(big), Axis(big))), np.triu(np.ones((big, big), dtype=bool)))
     shape = Shape((Axis(len(slots)),) + slot_supports[0].shape.axes)
     slot_stack = Support(shape, np.stack([s.mask for s in slot_supports]))
-    proj = contract(stacked, 1, slot_stack, 1).mask.reshape(big, len(slots), m * n)
-    simple = -np.diff(proj.astype(np.int64), axis=0, append=0)
+    proj = k0_class(contract(stacked, 1, slot_stack, 1)).reshape(big, len(slots), m * n)
+    simple = -np.diff(proj, axis=0, append=0)
     return [K0Map((big,), (m, n), simple[:, k].T) for k in range(len(slots))]
 
 
@@ -130,8 +130,7 @@ def _compose(i, n, j, k):
 
 def dias_compose(m: int, i: int, n: int, j: int, k: int) -> int:
     """Basis index of the composition e_j at slot i with e_k."""
-    if not 1 <= i <= m:
-        raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
+    require_slots(any_slot, m, n, i)
     if not 1 <= j <= m:
         raise ValueError(f"need 1 <= j <= m, got j={j}, m={m}")
     if not 1 <= k <= n:
@@ -143,8 +142,7 @@ def dias_compose_matrix(m: int, i: int, n: int) -> K0Map:
     """The 0/1 matrix of composition at slot i, from basis (j, k) row-major."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    if not 1 <= i <= m:
-        raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
+    require_slots(any_slot, m, n, i)
     mat = np.zeros((m + n - 1, m * n), dtype=np.int64)
     j, k = np.indices((m, n)) + 1
     mat[_compose(i, n, j, k).ravel() - 1, np.arange(m * n)] = 1
@@ -295,7 +293,7 @@ def dias_axioms_group(params: list[dict]) -> list[Report]:
         return []
     m, n, p = params[0]["m"], params[0]["n"], params[0]["p"]
     if min(m, n, p) < 1:
-        raise ValueError(f"need m, n, p >= 1, got {m}, {n}, {p}")
+        raise ValueError(f"need m, n, p >= 1, got m={m}, n={n}, p={p}")
     reports = []
     step = max(1, STACK_BYTES // (8 * m * n * p))  # bytes of a pair's int64 grid
     a, b, c = (x + 1 for x in np.indices((m, n, p), sparse=True))

@@ -64,13 +64,12 @@ def indicator_module(support: Support, config: FieldConfig = FieldConfig()) -> Q
     """One-dimensional spaces on the support, identity maps between adjacent
     support points.  No standardness check; see standard_module."""
     F = config.field
-    points, point_set = support.points, support.point_set
-    dims = {p: 1 for p in points}
+    dims = dict.fromkeys(support.points, 1)
     maps: dict[tuple[Point, int], Matrix] = {}
-    for p in points:
+    for p in dims:
         for a in range(len(p)):
             q = p[:a] + (p[a] + 1,) + p[a + 1 :]
-            if q in point_set:
+            if q in dims:
                 maps[(p, a)] = [[F.one]]
     return QuiverModule(support.shape, config, dims, maps)
 
@@ -152,9 +151,9 @@ def _frozen(mat: Matrix | None) -> tuple | None:
 class _Tables:
     """What the tensor body keeps across calls, in one field: an id per
     distinct fiber local data or run (its content at that index), one shared
-    object per distinct fiber entry, part of one or factor support, fiber
-    tables by factor support and axis, quotients by id pair, induced maps
-    and certified witnesses.  Content equal in two fields (2, Fraction(2))
+    object per distinct fiber entry or part of one, fiber tables by factor
+    support and axis, quotients by id pair, induced maps and certified
+    witnesses.  Content equal in two fields (2, Fraction(2))
     must not be read back where PrimeField.inv cannot invert a Fraction."""
 
     def __init__(self, config: FieldConfig) -> None:
@@ -383,9 +382,9 @@ def _tensor(fibers1: tuple, fibers2: tuple, out_shape: Shape, k1: int, tables: _
     return QuiverModule(out_shape, tables.config, dims, maps)
 
 
-def _indicator_dims(module: QuiverModule, support: Support) -> bool:
-    """The nonzero dims are one on the support's points and nowhere else."""
-    return {p: d for p, d in module.dims.items() if d} == dict.fromkeys(support.points, 1)
+def _indicator_dims(module: QuiverModule, points: tuple[Point, ...]) -> bool:
+    """The nonzero dims are one on the points and nowhere else."""
+    return {p: d for p, d in module.dims.items() if d} == dict.fromkeys(points, 1)
 
 
 def iso_to_standard(module: QuiverModule, support: Support) -> bool:
@@ -399,11 +398,12 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
     adjacent pair of support points, as counted on the mask.  When they are
     all one already, no rescaling is needed and no forest is walked.
     """
-    if module.shape != support.shape or not _indicator_dims(module, support):
+    points = support.points
+    if module.shape != support.shape or not _indicator_dims(module, points):
         return False
     F = module.config.field
     norm = F.norm
-    points, point_set, mask = support.points, support.point_set, support.mask
+    point_set, mask = set(points), support.mask
     plain = [ax.polarity == PLAIN for ax in module.shape.axes]
     arrows = []
     for (p, a), mat in module.maps.items():
@@ -454,10 +454,10 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
 
 
 def _dims_witnesses(module: QuiverModule, expected: Support, check: str) -> list[Witness]:
-    out = []
+    out, point_set = [], expected.point_set
     # a box point outside both the nonzero dims and the support agrees
-    for p in sorted({p for p, d in module.dims.items() if d} | expected.point_set):
-        want = 1 if p in expected.point_set else 0
+    for p in sorted({p for p, d in module.dims.items() if d} | point_set):
+        want = 1 if p in point_set else 0
         got = module.dim(p)
         if got != want:
             out.append(Witness(check, p, f"dim {got}, expected {want}"))
@@ -467,7 +467,8 @@ def _dims_witnesses(module: QuiverModule, expected: Support, check: str) -> list
 def _certify(module: QuiverModule, expected: Support) -> list[Witness]:
     """Dims match the indicator, relations hold, and the module is standard;
     each witness is named by the part of this certificate it fails."""
-    witnesses = [] if _indicator_dims(module, expected) else _dims_witnesses(module, expected, "dims")
+    dims_ok = _indicator_dims(module, expected.points)
+    witnesses = [] if dims_ok else _dims_witnesses(module, expected, "dims")
     witnesses += [
         Witness("relations", v.base, f"axes ({v.axis_a}, {v.axis_b})")
         for v in check_relations(module)
@@ -485,12 +486,10 @@ def _certified_tensor(
     named tag_part.
 
     Equal inputs are certified once while the tables last, whatever their
-    tag.  A key holds one shared object per distinct factor support, whose
-    cached points live as long as the key, and the expected support as its
-    axes and its mask packed eight points to a byte.
+    tag.  A key holds the factor supports as given, and the expected support
+    as its axes and its mask packed eight points to a byte.
     """
     tables = _tables(config)
-    s1, s2 = tables.share(s1), tables.share(s2)
     key = (s1, a1, s2, expected.shape.axes, np.packbits(expected.mask).tobytes())
     witnesses = tables.certificates.get(key)
     if witnesses is None:

@@ -90,8 +90,9 @@ class Shape:
 class Support:
     """Point set inside the box of a shape: the read-only bool mask, a copy of
     the one given, has mask[c1 - 1, ..., ck - 1] set when (c1, ..., ck) is in
-    it.  points (sorted), point_set, size and the hash are computed from
-    the mask once each.  Build from a point collection through make_support."""
+    it.  The mask is all a support keeps: points (sorted) and point_set are
+    read from it on each use, size and the hash once each.  Build from a
+    point collection through make_support."""
 
     shape: Shape
     mask: np.ndarray
@@ -103,11 +104,11 @@ class Support:
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
-    @cached_property
+    @property
     def points(self) -> tuple[Point, ...]:
         return tuple(map(tuple, (np.argwhere(self.mask) + 1).tolist()))
 
-    @cached_property
+    @property
     def point_set(self) -> frozenset[Point]:
         return frozenset(self.points)
 
@@ -116,7 +117,9 @@ class Support:
         return int(np.count_nonzero(self.mask))
 
     def __contains__(self, point: Point) -> bool:
-        return point in self.point_set
+        box = self.mask.shape
+        inside = len(point) == len(box) and all(0 < c <= n for c, n in zip(point, box))
+        return inside and bool(self.mask[tuple(c - 1 for c in point)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Support):
@@ -222,7 +225,7 @@ def closure_check(support: Support, axis: int, sense: str) -> bool:
 
 def fiber(support: Support, axis: int, rest: Sequence[int]) -> set[int]:
     """The coordinates j such that rest with j spliced in at axis is in the support."""
-    top = _axis_at(support.shape, axis).length
+    _axis_at(support.shape, axis)
     others = _drop_axis(support.shape, axis)
     r = tuple(rest)
     if len(r) != len(others):
@@ -230,7 +233,8 @@ def fiber(support: Support, axis: int, rest: Sequence[int]) -> set[int]:
     for k, (c, ax) in enumerate(zip(r, others)):
         if not 1 <= c <= ax.length:
             raise ValueError(f"rest {r}: coordinate {k + 1} = {c} is outside [1, {ax.length}]")
-    return {j for j in range(1, top + 1) if r[:axis] + (j,) + r[axis:] in support}
+    line = np.moveaxis(support.mask, axis, -1)[tuple(c - 1 for c in r)]
+    return set((np.flatnonzero(line) + 1).tolist())
 
 
 def contract(s1: Support, a1: int, s2: Support, a2: int) -> Support:

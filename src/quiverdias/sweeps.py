@@ -18,7 +18,7 @@ import numpy as np
 
 from . import families, k0
 from .families import any_slot, inner_slot, nested, parallel, parallel_or_nested
-from .fields import PRIME, RATIONAL, FieldConfig
+from .fields import RATIONAL, FieldConfig
 from .reports import Report
 
 SUITES = ("cooperad", "anticyclic", "oracle", "all")
@@ -35,8 +35,8 @@ class SweepConfig:
     max_n: int = 0  # 0 means: same as max_m
     max_p: int = 0
     oracle_max: int = 0  # 0 means: min(3, bounds)
-    field_kind: str = PRIME
-    prime: int = 32003
+    field_kind: str = FieldConfig.kind
+    prime: int = FieldConfig.q
     workers: int = 1
 
     def __post_init__(self) -> None:

@@ -201,6 +201,18 @@ def test_verify_env_var_out_dir(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "verify-anticyclic.jsonl").exists()
 
 
+def test_verify_without_flags_runs_the_default_config(tmp_path, monkeypatch, capsys):
+    import quiverdias.cli as cli
+    from quiverdias.sweeps import SweepConfig
+
+    configs = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config: configs.append(config) or iter(()))
+    monkeypatch.setenv("QUIVERDIAS_OUT", str(tmp_path))
+    assert main(["verify"]) == 0
+    capsys.readouterr()
+    assert configs == [SweepConfig()]
+
+
 def test_verify_failed_identity_exit_1(tmp_path, capsys, monkeypatch):
     import quiverdias.sweeps as sweeps
     from quiverdias.reports import Report, Witness

@@ -240,7 +240,7 @@ def test_compose_three_cases():
 
 
 def test_compose_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slot i=3 is not a slot"):
         dias_compose(2, 3, 2, 1, 1)
     with pytest.raises(ValueError):
         dias_compose(2, 1, 2, 1, 3)
@@ -259,7 +259,7 @@ def test_compose_elements_bilinear():
     "args, named", [((0, 1, 2), "m"), ((1, 1, 0), "n"), ((2, 0, 2), "i"), ((2, 3, 2), "i")]
 )
 def test_compose_matrix_rejects_degenerate_sizes(args, named):
-    with pytest.raises(ValueError, match=f"need .*{named}"):
+    with pytest.raises(ValueError, match=f"(need .*|slot ){named}"):
         dias_compose_matrix(*args)
 
 
@@ -681,6 +681,11 @@ def test_dias_axiom_counts():
 def test_empty_groups_give_no_reports():
     assert k0.inner_k0_group([]) == []
     assert k0.dias_axioms_group([]) == []
+
+
+def test_dias_axioms_refuse_degenerate_sizes_by_name():
+    with pytest.raises(ValueError, match="need m, n, p >= 1, got m=0, n=1, p=1"):
+        dias_operad_axiom_check(0, 1, 1, 1, 1)
 
 
 def test_dias_axioms_group_runs_large_groups_in_chunks(monkeypatch):

@@ -1040,17 +1040,11 @@ def test_sweep_with_tables_cleared_every_few_calls_keeps_its_bytes(tmp_path, mon
     assert max(map(max, sizes)) <= 16 and any(row[-1] for row in sizes)
 
 
-def test_equal_factor_supports_are_held_once():
-    # a key holds one object per distinct factor support, so the points a
-    # Support caches are kept once, not once per key
-    a, b = n_support(3), n_support(3)
-    assert a == b and a is not b
-    s = s_support(2, 1, 2)
-    predicted = fiber_reversal(s, 0, SUCCESSOR)
-    for left in (a, b):
-        assert oracle._certified_tensor(left, 1, s, predicted, "gamma", PRIME_CFG) == ()
-    (key,) = oracle._TABLES.certificates
-    assert key[0] is a and oracle._TABLES.share(b) is a
+def test_supports_keep_only_their_mask():
+    # the oracle reads the points and the point set of a cached slot support,
+    # which keeps neither: both are read from the mask on each use
+    oracle_unit_check(2, 2, 1)
+    assert not {"points", "point_set"} & set(vars(s_support(2, 1, 2)))
 
 
 def test_a_drop_during_a_call_leaves_that_call_alone(monkeypatch):

@@ -39,6 +39,7 @@ from quiverdias.supports import (
     Support,
     closure_check,
     contract,
+    fiber,
     fiber_reversal,
     make_support,
     permute_axes,
@@ -174,6 +175,15 @@ def test_points_are_the_sorted_mask(s):
     assert not s.mask.flags.writeable
     same = make_support(s.shape, reversed(s.points))
     assert same == s and hash(same) == hash(s)
+    # membership reads the mask: outside the box nothing is in the support,
+    # whatever a wrapped or clipped index would read
+    members = set(s.points)
+    for p in box(s.shape):
+        assert (p in s) == (p in members)
+        assert p + (1,) not in s and p[1:] not in s
+        for k, top in enumerate(s.shape.lengths):
+            assert p[:k] + (0,) + p[k + 1 :] not in s
+            assert p[:k] + (top + 1,) + p[k + 1 :] not in s
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,6 +215,9 @@ def test_reversal_matches_point_sets(data):
 def test_closure_and_its_errors_match_point_sets(s, data):
     axis = data.draw(st.integers(0, s.shape.arity - 1))
     ax = s.shape.axes[axis]
+    fibers = ref_fibers(s.points, axis)
+    for rest in {p[:axis] + p[axis + 1 :] for p in box(s.shape)}:
+        assert fiber(s, axis, rest) == fibers.get(rest, set())
     for sense in (UPWARD, DOWNWARD, PROJECTIVE, INJECTIVE):
         bad = ref_first_unclosed(s.points, axis, ax.length, ref_sense(ax, sense))
         assert closure_check(s, axis, sense) == (bad is None)
