@@ -313,11 +313,6 @@ def verify_associativity(m: int, n: int, p: int, i: int, j: int) -> Report:
     return associativity_group([{"m": m, "n": n, "p": p, "i": i, "j": j}])[0]
 
 
-# the sweep hands each verifier's whole (m, n, p) group to its group form
-verify_commutativity.group = commutativity_group
-verify_associativity.group = associativity_group
-
-
 def border_reversal_reference(m: int, n: int) -> Support:
     """Displayed form of the op-axis reversal of s_support(m, 1, n)."""
     return _from_predicate(

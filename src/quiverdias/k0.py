@@ -322,11 +322,6 @@ def dias_operad_axiom_check(m: int, n: int, p: int, i: int, j: int) -> Report:
     return dias_axioms_group([{"m": m, "n": n, "p": p, "i": i, "j": j}])[0]
 
 
-# the sweep hands each verifier's whole group to its group form
-verify_inner_k0.group = inner_k0_group
-dias_operad_axiom_check.group = dias_axioms_group
-
-
 def dias_tau(n: int) -> K0Map:
     """The order-(n+1) map on the rank-n dual basis: the transpose of tau.
 

@@ -34,10 +34,6 @@ SUCCESSOR = "successor"
 
 Point = tuple[int, ...]
 
-# entries of one float32 matrix product block inside contract (128 KiB)
-_PRODUCT_BLOCK = 1 << 15
-
-
 class ClosureError(ValueError):
     """A fiber-closure precondition does not hold."""
 
@@ -266,14 +262,11 @@ def contract(s1: Support, a1: int, s2: Support, a2: int) -> Support:
     _require_closed(f1, s1.shape, a1, UPWARD, f"left support, axis {a1}")
     _require_closed(f2, s2.shape, a2, DOWNWARD, f"right support, axis {a2}")
     new_shape = Shape(_drop_axis(s1.shape, a1) + _drop_axis(s2.shape, a2))
-    # relational composition: the product of the 0/1 fiber matrices counts
-    # the shared c; float32 sums of nonnegative terms never come back to
-    # zero, so "> 0" is exact at every axis length (uint8 wraps at 256).
-    # Row blocks bound the float32 scratch of a large (stacked) product.
-    hits = np.empty((len(f1), len(f2)), dtype=bool)
-    rows = max(1, _PRODUCT_BLOCK // max(1, len(f2)))
-    for r in range(0, len(f1), rows):
-        np.greater(np.matmul(f1[r : r + rows], f2.T, dtype=np.float32), 0, out=hits[r : r + rows])
+    # closed fibers are [L - c1 + 1, L] and [1, c2]: they share a level
+    # exactly when c1 + c2 > L (sizes counted in the least dtype that holds L)
+    dtype = np.min_scalar_type(ax1.length)
+    sizes1, sizes2 = (f.sum(axis=1, dtype=dtype) for f in (f1, f2))
+    hits = np.greater.outer(sizes1, ax1.length - sizes2)
     return Support(new_shape, hits.reshape(new_shape.lengths))
 
 

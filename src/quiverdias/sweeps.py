@@ -75,36 +75,34 @@ class SweepConfig:
         return d
 
 
-def _oracle(name: str):
-    """The oracle check of that name, looked up on the module when called: the
-    oracle loads with the first oracle task, and a check rebound there runs."""
-    return lambda **params: getattr(importlib.import_module(".oracle", __package__), name)(**params)
+def _each(module: str, name: str):
+    """The group body of a one-dict check: the check of that name, looked up
+    on its module when a group runs, once per dict. So the oracle loads with
+    its first task, and a check rebound on its module runs."""
+    def body(params: list[dict]) -> list[Report]:
+        check = getattr(importlib.import_module(f".{module}", __package__), name)
+        return [check(**d) for d in params]
+
+    return body
 
 
+# verifier name -> group body: one group's parameter dicts in, their reports out
 _VERIFIERS = {
-    "commutativity": families.verify_commutativity,
-    "associativity": families.verify_associativity,
-    "border": families.verify_border,
-    "inner": families.verify_inner,
-    "duality": k0.duality_check,
-    "dias_axioms": k0.dias_operad_axiom_check,
-    "border_k0": k0.verify_border_k0,
-    "inner_k0": k0.verify_inner_k0,
-    "tau_order": k0.tau_order_check,
-    "oracle_commutativity": _oracle("oracle_commutativity_check"),
-    "oracle_associativity": _oracle("oracle_associativity_check"),
-    "oracle_nakayama_gamma": _oracle("oracle_nakayama_gamma_check"),
-    "oracle_nakayama_mu": _oracle("oracle_nakayama_mu_check"),
-    "oracle_unit": _oracle("oracle_unit_check"),
+    "commutativity": families.commutativity_group,
+    "associativity": families.associativity_group,
+    "border": _each("families", "verify_border"),
+    "inner": _each("families", "verify_inner"),
+    "duality": _each("k0", "duality_check"),
+    "dias_axioms": k0.dias_axioms_group,
+    "border_k0": _each("k0", "verify_border_k0"),
+    "inner_k0": k0.inner_k0_group,
+    "tau_order": _each("k0", "tau_order_check"),
+    "oracle_commutativity": _each("oracle", "oracle_commutativity_check"),
+    "oracle_associativity": _each("oracle", "oracle_associativity_check"),
+    "oracle_nakayama_gamma": _each("oracle", "oracle_nakayama_gamma_check"),
+    "oracle_nakayama_mu": _each("oracle", "oracle_nakayama_mu_check"),
+    "oracle_unit": _each("oracle", "oracle_unit_check"),
 }
-
-
-def run_task(task: Task) -> Report:
-    name, params = task
-    verifier = _VERIFIERS.get(name)
-    if verifier is None:
-        raise ValueError(f"unknown verifier {name!r}")
-    return verifier(**params)
 
 
 def group_tasks(tasks: Iterable[Task]) -> Iterator[list[Task]]:
@@ -114,12 +112,15 @@ def group_tasks(tasks: Iterable[Task]) -> Iterator[list[Task]]:
 
 
 def run_group(group: list[Task]) -> list[Report]:
-    """The reports of one group in task order: a verifier with a ``group``
-    form takes all of the group's parameter dicts in one call."""
-    batch = getattr(_VERIFIERS.get(group[0][0]), "group", None)
-    if batch is None:
-        return [run_task(task) for task in group]
-    return batch([params for _, params in group])
+    """The reports of one group in task order, from its verifier's group body."""
+    body = _VERIFIERS.get(group[0][0])
+    if body is None:
+        raise ValueError(f"unknown verifier {group[0][0]!r}")
+    return body([params for _, params in group])
+
+
+def run_task(task: Task) -> Report:
+    return run_group([task])[0]
 
 
 # Parameter domains, each yielded in canonical (lexicographic) order.

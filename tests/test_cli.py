@@ -214,14 +214,13 @@ def test_verify_without_flags_runs_the_default_config(tmp_path, monkeypatch, cap
 
 
 def test_verify_failed_identity_exit_1(tmp_path, capsys, monkeypatch):
-    import quiverdias.sweeps as sweeps
     from quiverdias.reports import Report, Witness
 
     def broken(m, n):
         return Report("border", {"m": m, "n": n}, 1, 1,
                       [Witness("right_vs_left", (1, 1, 1), "left only")])
 
-    monkeypatch.setitem(sweeps._VERIFIERS, "border", broken)
+    monkeypatch.setattr(families, "verify_border", broken)
     assert main(["verify", "--suite", "anticyclic", "--max", "1", "--out", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "FAILED" in out and "FAIL border" in out
@@ -232,13 +231,11 @@ def test_verify_failed_identity_exit_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("earlier", [False, True])
 def test_verify_crash_leaves_no_partial_report(tmp_path, capsys, monkeypatch, earlier):
-    import quiverdias.sweeps as sweeps
-
     path = tmp_path / "verify-anticyclic.jsonl"
     if earlier:
         assert main(["verify", "--suite", "anticyclic", "--max", "2", "--out", str(tmp_path)]) == 0
         before = path.read_bytes()
-    border = sweeps._VERIFIERS["border"]
+    border = families.verify_border
     calls = []
 
     def crash_on_third(**params):
@@ -247,7 +244,7 @@ def test_verify_crash_leaves_no_partial_report(tmp_path, capsys, monkeypatch, ea
             raise RuntimeError("seeded crash")
         return border(**params)
 
-    monkeypatch.setitem(sweeps._VERIFIERS, "border", crash_on_third)
+    monkeypatch.setattr(families, "verify_border", crash_on_third)
     with pytest.raises(RuntimeError, match="seeded crash"):
         main(["verify", "--suite", "anticyclic", "--max", "2", "--out", str(tmp_path)])
     assert len(calls) == 3

@@ -94,15 +94,15 @@ def test_render_report_file_has_no_timing_fields(tmp_path, capsys):
 def test_serial_sweep_is_lazy(monkeypatch):
     calls = []
 
-    def counted(name, verifier):
-        def run(**params):
+    def counted(name, body):
+        def run(params):
             calls.append(name)
-            return verifier(**params)
+            return body(params)
 
         return run
 
-    for name, verifier in list(sweeps._VERIFIERS.items()):
-        monkeypatch.setitem(sweeps._VERIFIERS, name, counted(name, verifier))
+    for name, body in list(sweeps._VERIFIERS.items()):
+        monkeypatch.setitem(sweeps._VERIFIERS, name, counted(name, body))
     reports = run_sweep(SweepConfig(suite="anticyclic", max_m=2))
     assert calls == []
     assert next(reports).verifier == "border"
@@ -130,6 +130,51 @@ def test_sweep_runs_maximal_groups_of_one_verifier_and_parameters(monkeypatch, s
     assert [(r.verifier, r.params) for r in reports if r.verifier in ("commutativity", "associativity")] == [
         t for t in tasks if t[0] in ("commutativity", "associativity")
     ]
+
+
+ALL_M3 = SweepConfig(suite="all", max_m=3)
+
+
+def test_every_verifier_runs_one_group_body_call_per_group(monkeypatch):
+    # one dispatch path: each group is one call of its verifier's group body,
+    # with the group's dicts in task order, and the bytes stay pinned
+    calls = []
+
+    def recorded(name, body):
+        def run(params):
+            calls.append((name, params))
+            return body(params)
+
+        return run
+
+    for name, body in list(sweeps._VERIFIERS.items()):
+        monkeypatch.setitem(sweeps._VERIFIERS, name, recorded(name, body))
+    text = render_report_file(ALL_M3.echo(), run_sweep(ALL_M3))
+    groups = sweeps.group_tasks(sweeps._tasks(ALL_M3))
+    assert calls == [(group[0][0], [params for _, params in group]) for group in groups]
+    assert {name for name, _ in calls} == set(sweeps._VERIFIERS)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "f3ddbb8e0a86ff37effb3a5da3544051b8fcc8af7cb770131f51a3d3861e875c"
+    )
+
+
+@pytest.mark.parametrize("name", list(sweeps._VERIFIERS))
+def test_run_group_reports_its_tasks_one_by_one(name):
+    # a verifier's first group of several tasks, or its first group if all
+    # its groups hold one task
+    groups = [g for g in sweeps.group_tasks(sweeps._tasks(ALL_M3)) if g[0][0] == name]
+    group = next((g for g in groups if len(g) > 1), groups[0])
+    reports = run_group(group)
+    assert reports == [run_task(task) for task in group]
+
+    def shown(params):
+        # an oracle report shows its field config as the field and modulus
+        config = params.pop("config", None)
+        return params if config is None else {**params, "field": config.kind, "q": config.q}
+
+    assert [r.params for r in reports] == [shown(dict(params)) for _, params in group]
+    assert {r.verifier for r in reports} == {name}
 
 
 def test_sweep_builds_each_slot_support_once(monkeypatch):
@@ -191,7 +236,9 @@ def test_run_task_dispatch():
 def test_oracle_tasks_share_one_config_per_field(monkeypatch):
     # one config per field per sweep, built with the tasks: primality is
     # checked once, and the config's cached field object is built once
-    monkeypatch.setitem(sweeps._VERIFIERS, "oracle_unit", lambda config, **params: config)
+    from quiverdias import oracle
+
+    monkeypatch.setattr(oracle, "oracle_unit_check", lambda config, **params: config)
     tasks = [t for t in build_tasks(SweepConfig(suite="oracle", max_m=2)) if t[0] == "oracle_unit"]
     configs = [run_task(t) for t in tasks]
     prime = [c for c in configs if c.kind == "prime"]
