@@ -14,7 +14,6 @@ category, not one per factor).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ def _basis_size(desc: BasisDesc) -> int:
 class K0Map:
     """Integer matrix between simple-class bases, with basis descriptors.
     The matrix is a private read-only copy of the one given, so a map can
-    be shared, as the caches of nu_k0 and tau_k0 share theirs."""
+    be shared, as the reports of one inner_k0 group share their translations."""
 
     source: BasisDesc
     target: BasisDesc
@@ -180,10 +179,9 @@ def duality_check(m: int, i: int, n: int) -> Report:
     )
 
 
-@functools.lru_cache(maxsize=1024)
 def nu_k0(n: int) -> K0Map:
     """The unique integer matrix sending each projective class to the
-    matching injective class, in the simple basis.  Cached per process.
+    matching injective class, in the simple basis.
     Column j < n is -e_{j+1} and column n is all ones: S_j = P_j - P_{j+1}
     goes to I_j - I_{j+1} = [1, j] - [1, j+1] = -S_{j+1}, and S_n = P_n to [1, n]."""
     if n < 1:
@@ -193,10 +191,8 @@ def nu_k0(n: int) -> K0Map:
     return K0Map((n,), (n,), mat)
 
 
-@functools.lru_cache(maxsize=1024)
 def tau_k0(n: int) -> K0Map:
-    """Translation on classes: minus the Nakayama matrix (shift sign -1).
-    Cached, like nu_k0."""
+    """Translation on classes: minus the Nakayama matrix (shift sign -1)."""
     return nu_k0(n).scaled(-1)
 
 
@@ -223,9 +219,15 @@ def _on_factors(nab: K0Map, first: K0Map, second: K0Map | None = None) -> K0Map:
     return K0Map(nab.source, second.target + first.target, out.reshape(-1, big))
 
 
-def _forms_report(name: str, params: dict, nu_form: tuple, tau_form: tuple) -> Report:
-    """Report on an identity stated as (left, right) in the nu and tau forms;
-    the side sizes are those of the nu form."""
+def _translation_report(
+    name: str, params: dict, left: K0Map, right: K0Map, nu: list, tau: list, sign: int
+) -> Report:
+    """Report on left . t = (t on the factors of right) in the nu form and in
+    the tau form, whose right side is times sign, the identity's shift sign.
+    nu and tau list the map of left's source, then those of right's factors as
+    _on_factors takes them; the side sizes are those of the nu form."""
+    nu_form = (left @ nu[0], _on_factors(right, *nu[1:]))
+    tau_form = (left @ tau[0], _on_factors(right, *tau[1:]).scaled(sign))
     witnesses = _matrix_witnesses("nu_form", *nu_form) + _matrix_witnesses("tau_form", *tau_form)
     sizes = [int(np.count_nonzero(side.matrix)) for side in nu_form]
     return Report(name, params, *sizes, witnesses)
@@ -241,13 +243,9 @@ def verify_border_k0(m: int, n: int) -> Report:
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    nab_left, nab_right = nabla_k0(m, 1, n), nabla_k0(n, n, m)
-    return _forms_report(
-        "border_k0",
-        {"m": m, "n": n},
-        (nab_left @ nu_k0(m + n - 1), _on_factors(nab_right, nu_k0(n), nu_k0(m))),
-        (nab_left @ tau_k0(m + n - 1), _on_factors(nab_right, tau_k0(n), tau_k0(m)).scaled(-1)),
-    )
+    nu, tau = ([t(s) for s in (m + n - 1, n, m)] for t in (nu_k0, tau_k0))
+    left, right = nabla_k0(m, 1, n), nabla_k0(n, n, m)
+    return _translation_report("border_k0", {"m": m, "n": n}, left, right, nu, tau, -1)
 
 
 def inner_k0_group(params: list[dict]) -> list[Report]:
@@ -263,13 +261,9 @@ def inner_k0_group(params: list[dict]) -> list[Report]:
     require_slots(inner_slot, m, n, [d["i"] for d in params])
     slots = sorted({s for d in params for s in (d["i"] - 1, d["i"])})
     nab = dict(zip(slots, _nablas(m, slots, n)))
+    nu, tau = ([t(s) for s in (m + n - 1, m)] for t in (nu_k0, tau_k0))
     return [
-        _forms_report(
-            "inner_k0",
-            d,
-            (nab[d["i"]] @ nu_k0(m + n - 1), _on_factors(nab[d["i"] - 1], nu_k0(m))),
-            (nab[d["i"]] @ tau_k0(m + n - 1), _on_factors(nab[d["i"] - 1], tau_k0(m))),
-        )
+        _translation_report("inner_k0", d, nab[d["i"]], nab[d["i"] - 1], nu, tau, 1)
         for d in params
     ]
 

@@ -19,7 +19,7 @@ import numpy as np
 from .families import inner_slot, n_support, nested, parallel, regular_support
 from .families import require_slots, s_support
 # the field choice lives in fields, which a sweep reads without this module
-from .fields import MAX_PRIME, PRIME, RATIONAL, FieldConfig, is_prime
+from .fields import FieldConfig, is_prime
 from .linalg import Matrix, mat_mul, rref, reduce_mod_rows
 from .reports import Report, Witness
 from .supports import (

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,18 +29,6 @@ from quiverdias.k0 import (
 from quiverdias.reports import Witness
 from quiverdias.supports import OP, Axis, Shape, Support, contract, make_support
 from quiverdias.sweeps import SweepConfig, group_tasks, run_group, run_sweep, slot_domain
-
-
-@pytest.fixture
-def fresh_caches():
-    """Empty the per-process caches of the class layer before and after the
-    test, so that no map built from a perturbed input outlives it."""
-    caches = (nu_k0, tau_k0)
-    for cached in caches:
-        cached.cache_clear()
-    yield
-    for cached in caches:
-        cached.cache_clear()
 
 
 def identity(desc):
@@ -181,8 +170,6 @@ def test_nabla_matches_per_projective_reference():
 )
 def test_class_maps_are_shared_and_read_only(build, args):
     mp = build(*args)
-    if build is not nabla_k0:  # insertion maps are shared inside a sweep group only
-        assert build(*args) is mp
     with pytest.raises(ValueError, match="read-only"):
         mp.matrix[0, 0] = 7
     with pytest.raises(ValueError, match="read-only"):
@@ -206,7 +193,7 @@ def seeded_duality(monkeypatch, m, i, n, mu, nu):
     return report, t
 
 
-def test_seeded_class_defect_is_named(monkeypatch, fresh_caches):
+def test_seeded_class_defect_is_named(monkeypatch):
     # P_t loses (mu, nu), so the simple columns t - 1 and t change at row r
     # (0-based columns t - 2 and t - 1); for t = 1 only column 1 does
     for m in range(1, 4):
@@ -480,7 +467,7 @@ def seed_nablas(monkeypatch, seed, entry):
 
 
 @pytest.mark.parametrize("seed, entry", SEEDED_NABLAS)
-def test_seeded_nabla_witnesses_match_kronecker_reference(monkeypatch, fresh_caches, seed, entry):
+def test_seeded_nabla_witnesses_match_kronecker_reference(monkeypatch, seed, entry):
     seed_nablas(monkeypatch, seed, entry)
     failed = 0
     for m in range(1, 5):
@@ -541,7 +528,7 @@ def test_anticyclic_sweep_leaves_no_class_maps_behind():
 
 
 @pytest.fixture
-def seeded_nu(monkeypatch, fresh_caches):
+def seeded_nu(monkeypatch):
     """nu_k0(3) with entry [0, 2] raised by one; tau_k0 reads nu_k0 through
     the module global, so tau_k0(3) carries the same defect negated."""
     nu = nu_k0
@@ -583,6 +570,57 @@ def test_seeded_nu_defect_in_tau_order(seeded_nu):
         Witness("dias_tau", (3,), "power 4 is not the identity"),
     ]
     assert tau_order_check(2).passed
+
+
+def test_seeded_tau_defect_fails_the_tau_form_only(monkeypatch):
+    # tau_k0(3) with entry [0, 2] raised by one and nu_k0 untouched: the tau
+    # form reads tau_k0 itself, so only its witnesses name the defect.  The
+    # Kronecker references of this module read the same seeded map.
+    tau = tau_k0
+
+    def seeded(n):
+        mp = tau(n)
+        if n != 3:
+            return mp
+        mat = mp.matrix.copy()
+        mat[0, 2] += 1
+        return K0Map(mp.source, mp.target, mat)
+
+    monkeypatch.setattr(k0, "tau_k0", seeded)
+    monkeypatch.setitem(globals(), "tau_k0", seeded)
+    reports = [
+        (verify_border_k0(m, n), kron_border_forms(m, n)) for m, n in ((2, 2), (3, 3))
+    ] + [(verify_inner_k0(m, n, 2), kron_inner_forms(m, n, 2)) for m, n in ((2, 2), (3, 2))]
+    for report, forms in reports:
+        assert not report.passed
+        assert {w.check for w in report.witnesses} == {"tau_form"}
+        assert (report.left_size, report.right_size, report.witnesses) == kron_report_fields(*forms)
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (5, 1), (3, 6)])
+def test_inner_k0_group_builds_its_translations_once(monkeypatch, m, n):
+    # one slot or every slot of (m, n): the group builds nu and tau once for
+    # each translation of the identity, at m + n - 1 and at m, whatever its
+    # slot count; tau_k0 reads nu_k0, so nu_k0 runs twice for each
+    built = Counter()
+
+    def counted(name, build):
+        def wrapper(size):
+            built[name, size] += 1
+            return build(size)
+
+        return wrapper
+
+    for name in ("nu_k0", "tau_k0"):
+        monkeypatch.setattr(k0, name, counted(name, getattr(k0, name)))
+    expected = Counter()
+    for size in (m + n - 1, m):
+        expected.update({("nu_k0", size): 2, ("tau_k0", size): 1})
+    for slots in ([2], range(2, m + 1)):
+        built.clear()
+        reports = k0.inner_k0_group([{"m": m, "n": n, "i": i} for i in slots])
+        assert len(reports) == len(slots) and all(r.passed for r in reports)
+        assert built == expected, list(slots)
 
 
 # --- operad axioms -------------------------------------------------------------------

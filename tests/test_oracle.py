@@ -1128,6 +1128,18 @@ def test_sweep_certifies_through_the_public_checks(monkeypatch, seeded):
     assert calls["iso_to_standard"] == len(unfailed)
     assert (len(unfailed) < len(misses)) == seeded
 
+
+def test_certificate_of_another_shape_fails_iso():
+    # the same points on an op line: the dims and relations agree, the shape not
+    s = interval_support(3, "projective", 2)
+    other = make_support(Shape((Axis(3, OP),)), s.points)
+    module = standard_module(s, PRIME_CFG)
+    assert not iso_to_standard(module, other)
+    assert oracle._certify(module, other) == [
+        Witness("iso", (), "not isomorphic to the standard module")
+    ]
+
+
 def test_oracle_nakayama_mu_needs_inner_slot():
     for i in (1, 3):
         with pytest.raises(ValueError, match="2 <= i <= m"):
