@@ -79,6 +79,13 @@ def s_support(m: int, i: int, n: int) -> Support:
     return _from_predicate(triple_shape(m, n), member)
 
 
+def _slot_stack(m: int, slots, n: int) -> Support:
+    """s_support(m, i, n) for each slot i of slots, stacked along a new
+    leading plain axis."""
+    masks = np.stack([s_support(m, i, n).mask for i in slots])
+    return Support(Shape((Axis(len(masks)),) + triple_shape(m, n).axes), masks)
+
+
 def s_support_alt_clauses(m: int, i: int, n: int) -> list[Predicate]:
     """The four clauses of the equivalent description, split by g-range."""
     return [
@@ -228,8 +235,7 @@ def _composite(top: tuple, a1: int, bottom: tuple, perm: Sequence[int]) -> Suppo
     stacks, members = [], []
     for m, slots, n in (top, bottom):
         distinct = sorted(set(slots.tolist()))
-        masks = np.stack([s_support(m, i, n).mask for i in distinct])
-        stacks.append(Support(Shape((Axis(len(distinct)),) + triple_shape(m, n).axes), masks))
+        stacks.append(_slot_stack(m, distinct, n))
         members.append(np.searchsorted(distinct, slots))
     both = contract(stacks[0], a1 + 1, stacks[1], 1)
     # three axes of the top stack remain, so the bottom's leading axis is axis 3
@@ -239,11 +245,43 @@ def _composite(top: tuple, a1: int, bottom: tuple, perm: Sequence[int]) -> Suppo
     return permute_axes(gathered, [0] + [q + 1 for q in perm])
 
 
+def _member(stack: Support, k: int) -> Support:
+    """Member k of a stack along a leading plain axis."""
+    return Support(Shape(stack.shape.axes[1:]), stack.mask[k])
+
+
+def _stack_reports(verifier: str, chunk: Sequence[dict], left, right, checks) -> list[Report]:
+    """One report per parameter dict of chunk, from stacks along a leading
+    axis over it: the sizes of the members of left and right, and the
+    witnesses of each (check, a, b) of checks.  Only a member where some
+    check differs builds witnesses."""
+    def per_member(op, mask):
+        return op(mask, axis=tuple(range(1, mask.ndim)))
+
+    differ = np.ones(len(chunk), dtype=bool)
+    if all(a.shape == b.shape for _, a, b in checks):
+        differ = functools.reduce(
+            np.logical_or, (per_member(np.any, a.mask != b.mask) for _, a, b in checks)
+        )
+    sizes = zip(*(per_member(np.count_nonzero, s.mask).tolist() for s in (left, right)))
+    reports = []
+    for x, (d, (left_size, right_size)) in enumerate(zip(chunk, sizes)):
+        witnesses = []
+        if differ[x]:
+            witnesses = [
+                w
+                for check, a, b in checks
+                for w in compare_supports(check, _member(a, x), _member(b, x))
+            ]
+        reports.append(Report(verifier, d, left_size, right_size, witnesses))
+    return reports
+
+
 def _pair_reports(verifier: str, reference, sides, params: Sequence[dict]) -> list[Report]:
     """One report per parameter dict of one (m, n, p), from stacks of
     sides(m, n, p, i, j) and reference(m, n, p, i, j).  Pairs run in chunks
     whose bool stacks hold at most STACK_BYTES, bounding the scratch of a
-    large (m, n, p).  Only a pair whose three members differ builds witnesses."""
+    large (m, n, p)."""
     if not params:
         return []
     m, n, p = params[0]["m"], params[0]["n"], params[0]["p"]
@@ -253,23 +291,12 @@ def _pair_reports(verifier: str, reference, sides, params: Sequence[dict]) -> li
         i, j = np.array([(d["i"], d["j"]) for d in chunk]).T
         ref = reference(m, n, p, i, j)  # validates the pairs
         left, right = sides(m, n, p, i, j)
-        flat = [s.mask.reshape(len(chunk), -1) for s in (left, right, ref)]
-        differ = np.ones(len(chunk), dtype=bool)
-        if left.shape == right.shape == ref.shape:
-            differ = (flat[0] != flat[1]).any(axis=1) | (flat[0] != flat[2]).any(axis=1)
-        sizes = zip(*(np.count_nonzero(f, axis=1).tolist() for f in flat[:2]))
-        for k, (d, (left_size, right_size)) in enumerate(zip(chunk, sizes)):
-            witnesses = []
-            if differ[k]:
-                lk, rk, ref_k = (
-                    Support(Shape(s.shape.axes[1:]), s.mask[k]) for s in (left, right, ref)
-                )
-                witnesses = (
-                    compare_supports("left_vs_right", lk, rk)
-                    + compare_supports("left_vs_reference", lk, ref_k)
-                    + compare_supports("right_vs_reference", rk, ref_k)
-                )
-            reports.append(Report(verifier, d, left_size, right_size, witnesses))
+        checks = [
+            ("left_vs_right", left, right),
+            ("left_vs_reference", left, ref),
+            ("right_vs_reference", right, ref),
+        ]
+        reports += _stack_reports(verifier, chunk, left, right, checks)
     return reports
 
 
@@ -357,16 +384,22 @@ def verify_border(m: int, n: int) -> Report:
     return Report("border", params, left.size, right.size, witnesses)
 
 
-def inner_reversal_reference(m: int, n: int, i: int) -> Support:
-    """Displayed form of the op-axis reversal of s_support(m, i, n)."""
+def inner_reversal_reference(m: int, n: int, i) -> Support:
+    """Displayed form of the op-axis reversal of s_support(m, i, n); for an
+    index array i, one such set per slot along a leading axis."""
+    i = np.reshape(i, np.shape(i) + (1,) * 3)
+
     def member(g, mu, nu):
         return np.where(mu <= i - 1, g >= mu, np.where(mu == i, g >= i + nu - 1, g >= mu + n - 1))
 
     return _from_predicate(triple_shape(m, n), member)
 
 
-def inner_shift_reference(m: int, n: int, i: int) -> Support:
-    """Displayed length-m reversal of s_support(m, i-1, n)."""
+def inner_shift_reference(m: int, n: int, i) -> Support:
+    """Displayed length-m reversal of s_support(m, i-1, n); for an index
+    array i, one such set per slot along a leading axis."""
+    i = np.reshape(i, np.shape(i) + (1,) * 3)
+
     def member(g, mu, nu):
         return (
             ((g <= i - 1) & (g >= mu))
@@ -378,17 +411,33 @@ def inner_shift_reference(m: int, n: int, i: int) -> Support:
     return _from_predicate(triple_shape(m, n), member)
 
 
-def verify_inner(m: int, n: int, i: int) -> Report:
-    """Check the inner compatibility: op-axis reversal at slot i equals the
-    length-m reversal at slot i-1, with both displayed sets matched."""
-    require_slots(inner_slot, m, n, i)
+def inner_group(params: Sequence[dict]) -> list[Report]:
+    """Check the inner compatibility for the slots i of one (m, n): op-axis
+    reversal at slot i equals the length-m reversal at slot i-1, with both
+    displayed sets matched.  Slots run in chunks whose bool stacks hold at
+    most STACK_BYTES; a chunk stacks its slot supports along a leading plain
+    axis and reverses each stack once."""
+    if not params:
+        return []
+    m, n = params[0]["m"], params[0]["n"]
+    slots = [d["i"] for d in params]
+    require_slots(inner_slot, m, n, slots)
     _require(n >= 1, f"need n >= 1, got n={n}")
-    left = fiber_reversal(s_support(m, i, n), 0, SUCCESSOR)
-    right = fiber_reversal(s_support(m, i - 1, n), 1, PREDECESSOR)
-    witnesses = (
-        compare_supports("left_vs_displayed", left, inner_reversal_reference(m, n, i))
-        + compare_supports("right_vs_displayed", right, inner_shift_reference(m, n, i))
-        + compare_supports("right_vs_left", right, left)
-    )
-    params = {"m": m, "n": n, "i": i}
-    return Report("inner", params, left.size, right.size, witnesses)
+    step = max(1, STACK_BYTES // math.prod(triple_shape(m, n).lengths))
+    reports = []
+    for k in range(0, len(params), step):
+        i = slots[k : k + step]
+        left = fiber_reversal(_slot_stack(m, i, n), 1, SUCCESSOR)
+        right = fiber_reversal(_slot_stack(m, [s - 1 for s in i], n), 2, PREDECESSOR)
+        checks = [
+            ("left_vs_displayed", left, inner_reversal_reference(m, n, i)),
+            ("right_vs_displayed", right, inner_shift_reference(m, n, i)),
+            ("right_vs_left", right, left),
+        ]
+        reports += _stack_reports("inner", params[k : k + step], left, right, checks)
+    return reports
+
+
+def verify_inner(m: int, n: int, i: int) -> Report:
+    """inner_group on the one slot i."""
+    return inner_group([{"m": m, "n": n, "i": i}])[0]

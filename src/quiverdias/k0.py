@@ -204,33 +204,59 @@ def flip_k0(m: int, n: int) -> K0Map:
     return K0Map((m, n), (n, m), np.eye(m * n, dtype=np.int64)[perm])
 
 
-def _on_factors(nab: K0Map, first: K0Map, second: K0Map | None = None) -> K0Map:
-    """nab with first acting on factor a of its target (a, b), as first x id
-    would; with second, also second on factor b and the factors exchanged, as
-    flip . (first x second) would.  The exchange is the output index order."""
-    (a, b), (big,) = nab.target, nab.source
-    for mp, factor in ((first, (a,)), (second, (b,))):
-        if mp is not None and mp.source != factor:
-            raise ValueError(f"cannot compose: source {mp.source} != target {factor}")
-    out = np.tensordot(first.matrix, nab.matrix.reshape(a, b, big), axes=1)
+def _float_stack(maps: list[K0Map]) -> np.ndarray:
+    """The matrices of maps stacked along a leading axis, as float64, which
+    numpy multiplies through BLAS.  The products of class maps stay exact:
+    their entries are 0 and +-1, so every product entry is an integer no
+    larger than (m + n)**2, far below 2**53."""
+    return np.stack([mp.matrix for mp in maps]).astype(np.float64)
+
+
+def _on_factors(maps: np.ndarray, target: BasisDesc, first: np.ndarray, second=None) -> np.ndarray:
+    """The (k, a * b, big) stack of maps onto target (a, b), with each matrix
+    of the stack first acting on factor a, as first x id would; with second,
+    also the matrix of second on factor b and the factors exchanged, as
+    flip . (first x second) would.  The exchange is the output index order.
+    Member t of first and second gives member t of the (t, k, a * b, big)
+    result."""
+    (a, b), (k, _, big) = target, maps.shape
+    for mats, size in ((first, a), (second, b)):
+        if mats is not None and mats.shape[-1] != size:
+            raise ValueError(f"cannot compose: source ({mats.shape[-1]},) != target ({size},)")
+    out = first[:, None] @ maps.reshape(k, a, b * big)
     if second is None:
-        return K0Map(nab.source, first.target + (b,), out.reshape(-1, big))
-    out = np.einsum("yb,xbe->yxe", second.matrix, out)
-    return K0Map(nab.source, second.target + first.target, out.reshape(-1, big))
+        return out.reshape(len(first), k, a * b, big)
+    out = out.reshape(len(first), k, a, b, big).swapaxes(2, 3).reshape(len(first), k, b, a * big)
+    return (second[:, None] @ out).reshape(len(first), k, a * b, big)
 
 
-def _translation_report(
-    name: str, params: dict, left: K0Map, right: K0Map, nu: list, tau: list, sign: int
-) -> Report:
-    """Report on left . t = (t on the factors of right) in the nu form and in
-    the tau form, whose right side is times sign, the identity's shift sign.
-    nu and tau list the map of left's source, then those of right's factors as
-    _on_factors takes them; the side sizes are those of the nu form."""
-    nu_form = (left @ nu[0], _on_factors(right, *nu[1:]))
-    tau_form = (left @ tau[0], _on_factors(right, *tau[1:]).scaled(sign))
-    witnesses = _matrix_witnesses("nu_form", *nu_form) + _matrix_witnesses("tau_form", *tau_form)
-    sizes = [int(np.count_nonzero(side.matrix)) for side in nu_form]
-    return Report(name, params, *sizes, witnesses)
+def _translation_reports(
+    name: str, params: list[dict], left: list, right: list, translations: list, sign: int
+) -> list[Report]:
+    """Reports on left[k] . t = (t on the factors of right[k]) for each dict
+    params[k], in the nu form and in the tau form, whose right side is times
+    sign, the identity's shift sign.  translations holds (2, x, x) stacks of
+    nu and tau: on left's source, then on right's factors as _on_factors
+    takes them.  Each chunk computes both forms at once, as one float64
+    product per side of at most STACK_BYTES, compared in int64; the side
+    sizes are those of the nu form."""
+    on_source, *on_factors = translations
+    step = max(1, STACK_BYTES // (16 * right[0].matrix.size))  # bytes of a member's two forms
+    signs = np.array([1, sign]).reshape(2, 1, 1, 1)
+    reports = []
+    for s in range(0, len(params), step):
+        chunk = params[s : s + step]
+        lhs = (_float_stack(left[s : s + step]) @ on_source[:, None]).astype(np.int64)
+        rhs = _on_factors(_float_stack(right[s : s + step]), right[0].target, *on_factors)
+        rhs = (signs * rhs).astype(np.int64)
+        found: list[list[Witness]] = [[] for _ in chunk]
+        # argwhere runs (form, member, row, column) row-major: nu before tau
+        for f, x, r, c in np.argwhere(lhs != rhs).tolist():
+            detail = f"{lhs[f, x, r, c]} vs {rhs[f, x, r, c]}"
+            found[x].append(Witness(("nu_form", "tau_form")[f], (r, c), detail))
+        sizes = (np.count_nonzero(side[0], axis=(1, 2)).tolist() for side in (lhs, rhs))
+        reports += [Report(name, d, *both, w) for d, *both, w in zip(chunk, *sizes, found)]
+    return reports
 
 
 def verify_border_k0(m: int, n: int) -> Report:
@@ -243,9 +269,10 @@ def verify_border_k0(m: int, n: int) -> Report:
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    nu, tau = ([t(s) for s in (m + n - 1, n, m)] for t in (nu_k0, tau_k0))
-    left, right = nabla_k0(m, 1, n), nabla_k0(n, n, m)
-    return _translation_report("border_k0", {"m": m, "n": n}, left, right, nu, tau, -1)
+    translations = [_float_stack([nu_k0(s), tau_k0(s)]) for s in (m + n - 1, n, m)]
+    left, right = [nabla_k0(m, 1, n)], [nabla_k0(n, n, m)]
+    params = [{"m": m, "n": n}]
+    return _translation_reports("border_k0", params, left, right, translations, -1)[0]
 
 
 def inner_k0_group(params: list[dict]) -> list[Report]:
@@ -261,11 +288,9 @@ def inner_k0_group(params: list[dict]) -> list[Report]:
     require_slots(inner_slot, m, n, [d["i"] for d in params])
     slots = sorted({s for d in params for s in (d["i"] - 1, d["i"])})
     nab = dict(zip(slots, _nablas(m, slots, n)))
-    nu, tau = ([t(s) for s in (m + n - 1, m)] for t in (nu_k0, tau_k0))
-    return [
-        _translation_report("inner_k0", d, nab[d["i"]], nab[d["i"] - 1], nu, tau, 1)
-        for d in params
-    ]
+    translations = [_float_stack([nu_k0(s), tau_k0(s)]) for s in (m + n - 1, m)]
+    left, right = ([nab[d["i"] - shift] for d in params] for shift in (0, 1))
+    return _translation_reports("inner_k0", params, left, right, translations, 1)
 
 
 def verify_inner_k0(m: int, n: int, i: int) -> Report:

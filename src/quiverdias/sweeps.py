@@ -91,7 +91,7 @@ _VERIFIERS = {
     "commutativity": families.commutativity_group,
     "associativity": families.associativity_group,
     "border": _each("families", "verify_border"),
-    "inner": _each("families", "verify_inner"),
+    "inner": families.inner_group,
     "duality": _each("k0", "duality_check"),
     "dias_axioms": k0.dias_axioms_group,
     "border_k0": _each("k0", "verify_border_k0"),

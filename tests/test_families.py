@@ -25,8 +25,8 @@ from quiverdias.families import (
     verify_commutativity,
     verify_inner,
 )
-from quiverdias.reports import Witness
-from quiverdias.sweeps import group_tasks, run_group, slot_pairs
+from quiverdias.reports import Report, Witness, compare_supports
+from quiverdias.sweeps import group_tasks, run_group, slot_domain, slot_pairs
 from quiverdias.supports import (
     OP,
     PREDECESSOR,
@@ -309,22 +309,26 @@ def inner_params(draw):
     return (m, draw(st.integers(1, 4)), draw(st.integers(2, m)))
 
 
-# verifier, its parameters, and per reference clause set (called with the
-# verifier's parameters) the checks that compare against it as right-hand side
+# verifier, its parameters, how many of them are slots, and per reference
+# clause set (called with the verifier's parameters) the checks that compare
+# against it as right-hand side
 SEEDED = {
     "commutativity": (
         verify_commutativity,
         parallel_params(),
+        2,
         {"reference_commutativity_set": ("left_vs_reference", "right_vs_reference")},
     ),
     "associativity": (
         verify_associativity,
         nested_params(),
+        2,
         {"reference_associativity_set": ("left_vs_reference", "right_vs_reference")},
     ),
     "border": (
         verify_border,
         st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        0,
         {
             "border_reversal_reference": ("left_vs_displayed",),
             "border_intermediate_reference": ("intermediate_vs_displayed",),
@@ -333,6 +337,7 @@ SEEDED = {
     "inner": (
         verify_inner,
         inner_params(),
+        1,
         {
             "inner_reversal_reference": ("left_vs_displayed",),
             "inner_shift_reference": ("right_vs_displayed",),
@@ -341,17 +346,23 @@ SEEDED = {
 }
 
 
-def seeding(real, point, pair=None):
-    """real with point flipped in its set for the slot pair, or in its one
-    set when it is called on single slots.  Called with index arrays i and j
-    (the group path), real stacks one set per pair along a leading axis, and
-    the member (i[k], j[k]) == pair is seeded."""
+def seeding(real, point, slots=()):
+    """real with point flipped in its set for slots, a slot pair (i, j), one
+    slot (i,) or none, when its last len(slots) arguments are those ints.
+    Called with index arrays there instead (the group path), real stacks one
+    set per slot or pair along a leading axis, and the member for slots, if
+    the arrays hold it, is seeded."""
     def seeded(*args):
         support = real(*args)
+        given = args[len(args) - len(slots) :]
         index = tuple(c - 1 for c in point)
         if support.shape.arity > len(point):
-            i, j = args[-2:]
-            index = (list(zip(np.ravel(i).tolist(), np.ravel(j).tolist())).index(pair),) + index
+            members = list(zip(*(np.ravel(a).tolist() for a in given)))
+            if tuple(slots) not in members:
+                return support
+            index = (members.index(tuple(slots)),) + index
+        elif tuple(given) != tuple(slots):
+            return support
         mask = support.mask.copy()
         mask[index] = not mask[index]
         return Support(support.shape, mask)
@@ -366,13 +377,14 @@ def test_seeded_defect_is_named(verifier_name, data):
     # flip one point of one reference clause set: the verifier must fail and
     # name exactly that point, "left only" when the flip dropped it from the
     # reference and "right only" when it added it
-    verifier, params, references = SEEDED[verifier_name]
+    verifier, params, slot_count, references = SEEDED[verifier_name]
     args = data.draw(params)
     name = data.draw(st.sampled_from(sorted(references)))
     reference = getattr(families, name)(*args)
     point = data.draw(st.sampled_from(list(reference.shape.iter_points())))
+    slots = args[len(args) - slot_count :]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(families, name, seeding(getattr(families, name), point, args[-2:]))
+        mp.setattr(families, name, seeding(getattr(families, name), point, slots))
         report = verifier(*args)
     detail = "left only" if point in reference else "right only"
     assert not report.passed
@@ -396,13 +408,14 @@ def sweep_groups(draw):
     return name, reference, draw(st.sampled_from(groups))
 
 
-def run_seeded_group(group, reference, seeds):
-    """The sweep's reports for the group with each (pair, point) of seeds
-    flipped in the reference set of that pair."""
+def run_seeded_group(group, reference, seeds, check=None):
+    """The sweep's reports for the group with each (slots, point) of seeds
+    flipped in the reference set of those slots, and check's reports of the
+    group under the same seeds."""
     with pytest.MonkeyPatch.context() as mp:
-        for pair, point in seeds:
-            mp.setattr(families, reference, seeding(getattr(families, reference), point, pair))
-        return run_group(group)
+        for slots, point in seeds:
+            mp.setattr(families, reference, seeding(getattr(families, reference), point, slots))
+        return run_group(group), [check(**d) for _, d in group] if check else None
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,7 +430,7 @@ def test_seeded_defect_fails_only_its_pair_in_a_group(drawn, data):
     target = data.draw(st.integers(0, len(pairs) - 1))
     unseeded = getattr(families, reference)(params["m"], params["n"], params["p"], *pairs[target])
     point = data.draw(st.sampled_from(list(unseeded.shape.iter_points())))
-    reports = run_seeded_group(group, reference, [(pairs[target], point)])
+    reports, _ = run_seeded_group(group, reference, [(pairs[target], point)])
     assert [r.verifier for r in reports] == [name] * len(group)
     assert [r.params for r in reports] == [d for _, d in group]
     detail = "left only" if point in unseeded else "right only"
@@ -434,5 +447,52 @@ def test_seeded_defect_in_every_pair_fails_every_report(drawn, data):
     name, reference, group = drawn
     point = data.draw(st.sampled_from(list(quad_shape(*(group[0][1][k] for k in "mnp")).iter_points())))
     pairs = [(d["i"], d["j"]) for _, d in group]
-    reports = run_seeded_group(group, reference, [(pair, point) for pair in pairs])
+    reports, _ = run_seeded_group(group, reference, [(pair, point) for pair in pairs])
     assert all(len(r.witnesses) == 2 and r.witnesses[0].where == point for r in reports)
+
+
+def per_slot_inner(m, n, i):
+    """The inner check of one slot on its own supports, as verify_inner ran
+    before its group stacked the slots: the reference for families.inner_group.
+    It reads the references through the module, so seeded ones reach it."""
+    left = fiber_reversal(s_support(m, i, n), 0, SUCCESSOR)
+    right = fiber_reversal(s_support(m, i - 1, n), 1, PREDECESSOR)
+    witnesses = (
+        compare_supports("left_vs_displayed", left, families.inner_reversal_reference(m, n, i))
+        + compare_supports("right_vs_displayed", right, families.inner_shift_reference(m, n, i))
+        + compare_supports("right_vs_left", right, left)
+    )
+    return Report("inner", {"m": m, "n": n, "i": i}, left.size, right.size, witnesses)
+
+
+def inner_groups(bound):
+    return list(group_tasks(("inner", d) for d in slot_domain(bound, bound, families.inner_slot)))
+
+
+def test_stacked_inner_equals_the_per_slot_check():
+    for group in inner_groups(6):
+        assert run_group(group) == [per_slot_inner(**d) for _, d in group]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([g for g in inner_groups(5) if len(g) >= 2]), st.data())
+def test_seeded_inner_defect_fails_only_its_slot_in_a_group(group, data):
+    # one flipped point in one slot's displayed set: the stacked group fails
+    # exactly that slot's report, naming that point, as the per-slot check
+    # does, whether the group runs in one chunk or one slot a chunk
+    *_, references = SEEDED["inner"]
+    name = data.draw(st.sampled_from(sorted(references)))
+    m, n = group[0][1]["m"], group[0][1]["n"]
+    slots = [d["i"] for _, d in group]
+    target = data.draw(st.integers(0, len(slots) - 1))
+    unseeded = getattr(families, name)(m, n, slots[target])
+    point = data.draw(st.sampled_from(list(unseeded.shape.iter_points())))
+    seeds = [((slots[target],), point)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "STACK_BYTES", data.draw(st.sampled_from([families.STACK_BYTES, 1])))
+        reports, per_slot = run_seeded_group(group, name, seeds, per_slot_inner)
+    assert reports == per_slot
+    detail = "left only" if point in unseeded else "right only"
+    expected = [Witness(check, point, detail) for check in references[name]]
+    assert reports[target].witnesses == expected
+    assert [k for k, r in enumerate(reports) if not r.passed] == [target]

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quiverdias import k0
+from quiverdias import families, k0
 from quiverdias.families import inner_slot, interval_support, s_support
 from quiverdias.k0 import (
     K0Map,
@@ -426,23 +426,42 @@ def kron_report_fields(nu_form, tau_form):
 
 
 def test_factor_translation_matches_kronecker_reference():
+    # _on_factors translates a float64 stack of every slot's map at once,
+    # member t of the translation stack giving member t of the result
     for m in range(1, 7):
         for n in range(1, 7):
             ident = identity((n,))
-            for i in range(1, m + 1):
-                nab = nabla_k0(m, i, n)
-                for t in (nu_k0, tau_k0):
-                    assert k0._on_factors(nab, t(m)) == t(m).kron(ident) @ nab, (m, i, n)
-                    reference = flip_k0(m, n) @ t(m).kron(t(n)) @ nab
-                    assert k0._on_factors(nab, t(m), t(n)) == reference, (m, i, n)
+            nabs = [nabla_k0(m, i, n) for i in range(1, m + 1)]
+            stack = k0._float_stack(nabs)
+            first, second = (k0._float_stack([nu_k0(s), tau_k0(s)]) for s in (m, n))
+            for t, tr in enumerate((nu_k0, tau_k0)):
+                one = [(tr(m).kron(ident) @ nab).matrix for nab in nabs]
+                assert np.array_equal(k0._on_factors(stack, (m, n), first)[t], one), (m, n)
+                both = [(flip_k0(m, n) @ tr(m).kron(tr(n)) @ nab).matrix for nab in nabs]
+                assert np.array_equal(k0._on_factors(stack, (m, n), first, second)[t], both), (m, n)
 
 
 def test_factor_translation_checks_bases():
-    nab = nabla_k0(2, 1, 3)  # target (2, 3)
+    nab = k0._float_stack([nabla_k0(2, 1, 3)])  # target (2, 3)
+    nu2, nu3 = (k0._float_stack([nu_k0(s)]) for s in (2, 3))
     with pytest.raises(ValueError, match="cannot compose"):
-        k0._on_factors(nab, nu_k0(3))
+        k0._on_factors(nab, (2, 3), nu3)
     with pytest.raises(ValueError, match="cannot compose"):
-        k0._on_factors(nab, nu_k0(2), nu_k0(2))
+        k0._on_factors(nab, (2, 3), nu2, nu2)
+
+
+def test_class_stacks_match_kronecker_references():
+    # the float64 stacks against the int64 Kronecker references: every slot
+    # of every inner_k0 group and every border_k0 report, sizes and witnesses
+    for m in range(1, 9):
+        for n in range(1, 9):
+            report = verify_border_k0(m, n)
+            expected = kron_report_fields(*kron_border_forms(m, n))
+            assert (report.left_size, report.right_size, report.witnesses) == expected, (m, n)
+            reports = k0.inner_k0_group([{"m": m, "n": n, "i": i} for i in range(2, m + 1)])
+            for i, report in enumerate(reports, start=2):
+                expected = kron_report_fields(*kron_inner_forms(m, n, i))
+                assert (report.left_size, report.right_size, report.witnesses) == expected, (m, n, i)
 
 
 # one entry of nabla_k0(m, i, n) raised by one, at (row, column)
@@ -572,10 +591,9 @@ def test_seeded_nu_defect_in_tau_order(seeded_nu):
     assert tau_order_check(2).passed
 
 
-def test_seeded_tau_defect_fails_the_tau_form_only(monkeypatch):
-    # tau_k0(3) with entry [0, 2] raised by one and nu_k0 untouched: the tau
-    # form reads tau_k0 itself, so only its witnesses name the defect.  The
-    # Kronecker references of this module read the same seeded map.
+def seed_tau(monkeypatch):
+    """tau_k0(3) with entry [0, 2] raised by one and nu_k0 untouched, in the
+    class layer and in the Kronecker references of this module."""
     tau = tau_k0
 
     def seeded(n):
@@ -588,6 +606,11 @@ def test_seeded_tau_defect_fails_the_tau_form_only(monkeypatch):
 
     monkeypatch.setattr(k0, "tau_k0", seeded)
     monkeypatch.setitem(globals(), "tau_k0", seeded)
+
+
+def test_seeded_tau_defect_fails_the_tau_form_only(monkeypatch):
+    # the tau form reads tau_k0 itself, so only its witnesses name the defect
+    seed_tau(monkeypatch)
     reports = [
         (verify_border_k0(m, n), kron_border_forms(m, n)) for m, n in ((2, 2), (3, 3))
     ] + [(verify_inner_k0(m, n, 2), kron_inner_forms(m, n, 2)) for m, n in ((2, 2), (3, 2))]
@@ -621,6 +644,24 @@ def test_inner_k0_group_builds_its_translations_once(monkeypatch, m, n):
         reports = k0.inner_k0_group([{"m": m, "n": n, "i": i} for i in slots])
         assert len(reports) == len(slots) and all(r.passed for r in reports)
         assert built == expected, list(slots)
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+@pytest.mark.parametrize("m, n", [(2, 2), (4, 3), (6, 6)])
+def test_anticyclic_chunk_boundaries_leave_every_report(monkeypatch, m, n, seeded):
+    # byte bounds of one slot of (m, n): its groups run one slot a chunk,
+    # smaller groups several and larger ones one; no report changes, and a
+    # seeded tau_k0(3) fails the same class reports, with tau_form witnesses
+    if seeded:
+        seed_tau(monkeypatch)
+    config = SweepConfig(suite="anticyclic", max_m=6)
+    whole = list(run_sweep(config))
+    monkeypatch.setattr(families, "STACK_BYTES", (m + n - 1) * m * n)
+    monkeypatch.setattr(k0, "STACK_BYTES", 16 * (m + n - 1) * m * n)
+    assert list(run_sweep(config)) == whole
+    failed = [r for r in whole if not r.passed and r.verifier in ("border_k0", "inner_k0")]
+    assert bool(failed) == seeded
+    assert all({w.check for w in r.witnesses} == {"tau_form"} for r in failed)
 
 
 # --- operad axioms -------------------------------------------------------------------
