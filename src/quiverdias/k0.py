@@ -35,7 +35,7 @@ def _basis_size(desc: BasisDesc) -> int:
 class K0Map:
     """Integer matrix between simple-class bases, with basis descriptors.
     The matrix is a private read-only copy of the one given, so a map can
-    be shared, as the reports of one inner_k0 group share their translations."""
+    be shared, as the reports of one inner_k0 group share their insertion maps."""
 
     source: BasisDesc
     target: BasisDesc
@@ -68,11 +68,6 @@ class K0Map:
 
     def scaled(self, k: int) -> "K0Map":
         return K0Map(self.source, self.target, k * self.matrix)
-
-    def power(self, k: int) -> "K0Map":
-        if self.source != self.target:
-            raise ValueError("powers need equal source and target")
-        return K0Map(self.source, self.target, np.linalg.matrix_power(self.matrix, k))
 
     def is_identity(self) -> bool:
         return self.source == self.target and np.array_equal(
@@ -112,7 +107,8 @@ def _nablas(m: int, slots, n: int) -> list[K0Map]:
     shape = Shape((Axis(len(slots)),) + slot_supports[0].shape.axes)
     slot_stack = Support(shape, np.stack([s.mask for s in slot_supports]))
     proj = k0_class(contract(stacked, 1, slot_stack, 1)).reshape(big, len(slots), m * n)
-    simple = -np.diff(proj, axis=0, append=0)
+    simple = proj.copy()
+    simple[:-1] -= proj[1:]
     return [K0Map((big,), (m, n), simple[:, k].T) for k in range(len(slots))]
 
 
@@ -179,16 +175,43 @@ def duality_check(m: int, i: int, n: int) -> Report:
     )
 
 
+def _nu_left(stack: np.ndarray, axis: int) -> np.ndarray:
+    """nu acting on the size-n axis of an int64 stack, as nu @ y would:
+    row 0 becomes row n - 1, and row r >= 1 becomes row n - 1 minus row r - 1."""
+    y = stack.swapaxes(0, axis)
+    out = np.empty_like(y)
+    out[0] = y[-1]
+    np.subtract(y[-1], y[:-1], out=out[1:])
+    return out.swapaxes(0, axis)
+
+
+def _nu_right(x: np.ndarray) -> np.ndarray:
+    """x @ nu on the last axis of an int64 stack: column j < n - 1 becomes
+    -x[..., j + 1], and the last column the row sums."""
+    out = np.empty_like(x)
+    np.negative(x[..., 1:], out=out[..., :-1])
+    x.sum(axis=-1, out=out[..., -1])
+    return out
+
+
+def _tau_left(stack: np.ndarray, axis: int) -> np.ndarray:
+    """tau = -nu acting on an axis, as tau @ y would."""
+    return -_nu_left(stack, axis)
+
+
+def _tau_right(x: np.ndarray) -> np.ndarray:
+    """x @ tau on the last axis."""
+    return -_nu_right(x)
+
+
 def nu_k0(n: int) -> K0Map:
     """The unique integer matrix sending each projective class to the
-    matching injective class, in the simple basis.
+    matching injective class, in the simple basis: nu's action on the identity.
     Column j < n is -e_{j+1} and column n is all ones: S_j = P_j - P_{j+1}
     goes to I_j - I_{j+1} = [1, j] - [1, j+1] = -S_{j+1}, and S_n = P_n to [1, n]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    mat = -np.eye(n, k=-1, dtype=np.int64)
-    mat[:, -1] = 1
-    return K0Map((n,), (n,), mat)
+    return K0Map((n,), (n,), _nu_left(np.eye(n, dtype=np.int64), 0))
 
 
 def tau_k0(n: int) -> K0Map:
@@ -204,57 +227,36 @@ def flip_k0(m: int, n: int) -> K0Map:
     return K0Map((m, n), (n, m), np.eye(m * n, dtype=np.int64)[perm])
 
 
-def _float_stack(maps: list[K0Map]) -> np.ndarray:
-    """The matrices of maps stacked along a leading axis, as float64, which
-    numpy multiplies through BLAS.  The products of class maps stay exact:
-    their entries are 0 and +-1, so every product entry is an integer no
-    larger than (m + n)**2, far below 2**53."""
-    return np.stack([mp.matrix for mp in maps]).astype(np.float64)
-
-
-def _on_factors(maps: np.ndarray, target: BasisDesc, first: np.ndarray, second=None) -> np.ndarray:
-    """The (k, a * b, big) stack of maps onto target (a, b), with each matrix
-    of the stack first acting on factor a, as first x id would; with second,
-    also the matrix of second on factor b and the factors exchanged, as
-    flip . (first x second) would.  The exchange is the output index order.
-    Member t of first and second gives member t of the (t, k, a * b, big)
-    result."""
-    (a, b), (k, _, big) = target, maps.shape
-    for mats, size in ((first, a), (second, b)):
-        if mats is not None and mats.shape[-1] != size:
-            raise ValueError(f"cannot compose: source ({mats.shape[-1]},) != target ({size},)")
-    out = first[:, None] @ maps.reshape(k, a, b * big)
-    if second is None:
-        return out.reshape(len(first), k, a * b, big)
-    out = out.reshape(len(first), k, a, b, big).swapaxes(2, 3).reshape(len(first), k, b, a * big)
-    return (second[:, None] @ out).reshape(len(first), k, a * b, big)
-
-
 def _translation_reports(
-    name: str, params: list[dict], left: list, right: list, translations: list, sign: int
+    name: str, params: list[dict], left: list, right: list, sign: int, flip: bool = False
 ) -> list[Report]:
     """Reports on left[k] . t = (t on the factors of right[k]) for each dict
     params[k], in the nu form and in the tau form, whose right side is times
-    sign, the identity's shift sign.  translations holds (2, x, x) stacks of
-    nu and tau: on left's source, then on right's factors as _on_factors
-    takes them.  Each chunk computes both forms at once, as one float64
-    product per side of at most STACK_BYTES, compared in int64; the side
-    sizes are those of the nu form."""
-    on_source, *on_factors = translations
+    sign, the identity's shift sign.  t acts on factor a of right's (a, b)
+    target, and with flip also on factor b, the factors exchanged, as
+    flip . (t x t) would.  Both forms act in closed form on int64 stacks of a
+    chunk of members, the tau form through the tau actions; each member's
+    witnesses run (form, row, column), and its sizes are the nu form's."""
+    (a, b), (big,) = right[0].target, right[0].source
     step = max(1, STACK_BYTES // (16 * right[0].matrix.size))  # bytes of a member's two forms
-    signs = np.array([1, sign]).reshape(2, 1, 1, 1)
+    forms = (("nu_form", _nu_left, _nu_right, 1), ("tau_form", _tau_left, _tau_right, sign))
     reports = []
     for s in range(0, len(params), step):
         chunk = params[s : s + step]
-        lhs = (_float_stack(left[s : s + step]) @ on_source[:, None]).astype(np.int64)
-        rhs = _on_factors(_float_stack(right[s : s + step]), right[0].target, *on_factors)
-        rhs = (signs * rhs).astype(np.int64)
+        on_left = np.stack([mp.matrix for mp in left[s : s + step]])
+        on_right = np.stack([mp.matrix for mp in right[s : s + step]]).reshape(-1, a, b, big)
         found: list[list[Witness]] = [[] for _ in chunk]
-        # argwhere runs (form, member, row, column) row-major: nu before tau
-        for f, x, r, c in np.argwhere(lhs != rhs).tolist():
-            detail = f"{lhs[f, x, r, c]} vs {rhs[f, x, r, c]}"
-            found[x].append(Witness(("nu_form", "tau_form")[f], (r, c), detail))
-        sizes = (np.count_nonzero(side[0], axis=(1, 2)).tolist() for side in (lhs, rhs))
+        for form, act_left, act_right, form_sign in forms:
+            lhs, rhs = act_right(on_left), act_left(on_right, 1)
+            if flip:
+                rhs = act_left(rhs, 2).swapaxes(1, 2)
+            rhs = form_sign * rhs.reshape(lhs.shape)
+            if form == "nu_form":
+                sizes = [np.count_nonzero(side, axis=(1, 2)).tolist() for side in (lhs, rhs)]
+            differ = lhs != rhs
+            if differ.any():
+                for x, r, c in np.argwhere(differ).tolist():
+                    found[x].append(Witness(form, (r, c), f"{lhs[x, r, c]} vs {rhs[x, r, c]}"))
         reports += [Report(name, d, *both, w) for d, *both, w in zip(chunk, *sizes, found)]
     return reports
 
@@ -269,10 +271,9 @@ def verify_border_k0(m: int, n: int) -> Report:
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    translations = [_float_stack([nu_k0(s), tau_k0(s)]) for s in (m + n - 1, n, m)]
     left, right = [nabla_k0(m, 1, n)], [nabla_k0(n, n, m)]
     params = [{"m": m, "n": n}]
-    return _translation_reports("border_k0", params, left, right, translations, -1)[0]
+    return _translation_reports("border_k0", params, left, right, -1, flip=True)[0]
 
 
 def inner_k0_group(params: list[dict]) -> list[Report]:
@@ -288,9 +289,8 @@ def inner_k0_group(params: list[dict]) -> list[Report]:
     require_slots(inner_slot, m, n, [d["i"] for d in params])
     slots = sorted({s for d in params for s in (d["i"] - 1, d["i"])})
     nab = dict(zip(slots, _nablas(m, slots, n)))
-    translations = [_float_stack([nu_k0(s), tau_k0(s)]) for s in (m + n - 1, m)]
     left, right = ([nab[d["i"] - shift] for d in params] for shift in (0, 1))
-    return _translation_reports("inner_k0", params, left, right, translations, 1)
+    return _translation_reports("inner_k0", params, left, right, 1)
 
 
 def verify_inner_k0(m: int, n: int, i: int) -> Report:
