@@ -57,33 +57,27 @@ def _from_predicate(shape: Shape, *clauses: Predicate) -> Support:
 @functools.cache
 def triple_shape(m: int, n: int) -> Shape:
     """The shape [(m+n-1)-op, m, n] carrying the slot-insertion families;
-    one object per (m, n), shared by the cached s_support entries."""
+    one object per (m, n), shared by every support built on it."""
     return Shape((Axis(m + n - 1, OP), Axis(m), Axis(n)))
-
-
-@functools.lru_cache(maxsize=8192)
-def s_support(m: int, i: int, n: int) -> Support:
-    """Slot-insertion support on [(m+n-1)-op, m, n].
-
-    A triple (g, mu, nu) belongs to it when g <= mu below slot i, when
-    g <= i+nu-1 on the slot itself, and when g <= mu+n-1 above it.  Cached:
-    a Support is immutable, so callers share one object per argument triple;
-    the cache holds every triple of a cooperad sweep up to --max 12 (4,170).
-    """
-    require_slots(any_slot, m, n, i)
-    _require(n >= 1, f"need n >= 1, got n={n}")
-
-    def member(g, mu, nu):
-        return np.where(mu <= i - 1, g <= mu, np.where(mu == i, g <= i + nu - 1, g <= mu + n - 1))
-
-    return _from_predicate(triple_shape(m, n), member)
 
 
 def _slot_stack(m: int, slots, n: int) -> Support:
     """s_support(m, i, n) for each slot i of slots, stacked along a new
-    leading plain axis."""
-    masks = np.stack([s_support(m, i, n).mask for i in slots])
-    return Support(Shape((Axis(len(masks)),) + triple_shape(m, n).axes), masks)
+    leading plain axis, from one evaluation: each op fiber is [1, top], with
+    top mu below slot i, i+nu-1 on the slot and mu+n-1 above it."""
+    require_slots(any_slot, m, n, slots)
+    _require(n >= 1, f"need n >= 1, got n={n}")
+    i = np.reshape(slots, (-1, 1, 1))
+    mu, nu = np.arange(1, m + 1).reshape(-1, 1), np.arange(1, n + 1)
+    top = np.where(mu < i, mu, np.where(mu == i, i + nu - 1, mu + n - 1))
+    mask = np.arange(1, m + n).reshape(-1, 1, 1) <= top[:, np.newaxis]
+    return Support(Shape((Axis(len(mask)),) + triple_shape(m, n).axes), mask)
+
+
+def s_support(m: int, i: int, n: int) -> Support:
+    """Slot-insertion support on [(m+n-1)-op, m, n]: _slot_stack at the one
+    slot i, a new object on each call; the oracle keeps one per triple."""
+    return _member(_slot_stack(m, [i], n), 0)
 
 
 def s_support_alt_clauses(m: int, i: int, n: int) -> list[Predicate]:

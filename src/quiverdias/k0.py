@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import STACK_BYTES, any_slot, inner_slot, nested, parallel, parallel_or_nested
-from .families import require_slots, s_support
+from .families import _slot_stack, require_slots
 from .reports import Report, Witness
 from .supports import PLAIN, Axis, Shape, Support, contract
 
@@ -99,13 +99,12 @@ def _nablas(m: int, slots, n: int) -> list[K0Map]:
     the images of projectives via the two-term resolution
     S_j = P_j - P_{j+1} (with P_{m+n} = 0).  The projectives [j, m+n-1] are
     stacked along a leading plain axis and the slots' s_support(m, i, n)
-    along another, so one contraction gives the images for every slot."""
-    slot_supports = [s_support(m, i, n) for i in slots]  # validates the slots
+    along another (one _slot_stack), so one contraction gives the images
+    for every slot."""
+    slot_stack = _slot_stack(m, slots, n)  # validates the slots
     big = m + n - 1
     # row j - 1 of the mask is the projective [j, big]: set where j <= c
     stacked = Support(Shape((Axis(big), Axis(big))), np.triu(np.ones((big, big), dtype=bool)))
-    shape = Shape((Axis(len(slots)),) + slot_supports[0].shape.axes)
-    slot_stack = Support(shape, np.stack([s.mask for s in slot_supports]))
     proj = k0_class(contract(stacked, 1, slot_stack, 1)).reshape(big, len(slots), m * n)
     simple = proj.copy()
     simple[:-1] -= proj[1:]

@@ -151,16 +151,18 @@ def _frozen(mat: Matrix | None) -> tuple | None:
 class _Tables:
     """What the tensor body keeps across calls, in one field: an id per
     distinct fiber local data or run (its content at that index), one shared
-    object per distinct fiber entry or part of one, fiber tables by factor
-    support and axis, quotients by id pair, induced maps and certified
-    witnesses.  Content equal in two fields (2, Fraction(2))
-    must not be read back where PrimeField.inv cannot invert a Fraction."""
+    object per distinct fiber entry or part of one, one slot support per
+    (m, i, n), fiber tables by factor support and axis, quotients by id
+    pair, induced maps and certified witnesses.  Content equal in two
+    fields (2, Fraction(2)) must not be read back where PrimeField.inv
+    cannot invert a Fraction."""
 
     def __init__(self, config: FieldConfig) -> None:
         self.config = config
         self.ids: dict[tuple, int] = {}
         self.content: list[tuple] = []
         self.shared: dict = {}
+        self.slots: dict[tuple[int, int, int], Support] = {}
         self.fibers: dict[Support, dict[int, tuple]] = {}
         self.quotients: dict[tuple[int, int], tuple | None] = {}
         self.induced: dict[tuple, tuple] = {}
@@ -176,6 +178,12 @@ class _Tables:
     def share(self, entry):
         """The first object seen equal to entry, which is immutable."""
         return self.shared.setdefault(entry, entry)
+
+    def slot(self, m: int, i: int, n: int) -> Support:
+        """s_support(m, i, n), one object per triple: the fiber and
+        certificate tables key on it."""
+        key = (m, i, n)
+        return self.slots.get(key) or self.slots.setdefault(key, s_support(m, i, n))
 
 
 _TABLES: _Tables | None = None
@@ -194,7 +202,7 @@ def _tables(config: FieldConfig) -> _Tables:
 def _drop_if_full(t: _Tables) -> None:
     """After a call, drop the tables once any of them is over the cap."""
     global _TABLES
-    if max(map(len, (t.ids, t.shared, t.fibers, t.quotients, t.induced, t.certificates))) > _TABLE_CAP:
+    if max(map(len, (t.ids, t.shared, t.slots, t.fibers, t.quotients, t.induced, t.certificates))) > _TABLE_CAP:
         _TABLES = None
 
 
@@ -506,8 +514,9 @@ def oracle_commutativity_check(
 ) -> Report:
     """Tensor both parallel-composition sides and compare with contract."""
     require_slots(parallel, m, n, i, j)
-    s_top_l, s_bot_l = s_support(m + p - 1, i, n), s_support(m, j, p)
-    s_top_r, s_bot_r = s_support(m + n - 1, j + n - 1, p), s_support(m, i, n)
+    slot = _tables(config).slot
+    s_top_l, s_bot_l = slot(m + p - 1, i, n), slot(m, j, p)
+    s_top_r, s_bot_r = slot(m + n - 1, j + n - 1, p), slot(m, i, n)
     witnesses: list[Witness] = []
     sizes = []
     for tag, s_top, s_bot in (("left", s_top_l, s_bot_l), ("right", s_top_r, s_bot_r)):
@@ -523,11 +532,12 @@ def oracle_associativity_check(
 ) -> Report:
     """Tensor both nested-composition sides and compare with contract."""
     require_slots(nested, m, n, i, j)
+    slot = _tables(config).slot
     witnesses: list[Witness] = []
     sizes = []
     for tag, s_top, axis, s_bot in (
-        ("left", s_support(m, i, n + p - 1), 2, s_support(n, j, p)),
-        ("right", s_support(m + n - 1, j + i - 1, p), 1, s_support(m, i, n)),
+        ("left", slot(m, i, n + p - 1), 2, slot(n, j, p)),
+        ("right", slot(m + n - 1, j + i - 1, p), 1, slot(m, i, n)),
     ):
         predicted = contract(s_top, axis, s_bot, 0)
         witnesses += _certified_tensor(s_top, axis, s_bot, predicted, tag, config)
@@ -541,7 +551,7 @@ def oracle_nakayama_gamma_check(
 ) -> Report:
     """Tensoring with the Nakayama triangle on the op side is the successor
     reversal of the op axis."""
-    s = s_support(m, i, n)
+    s = _tables(config).slot(m, i, n)
     predicted = fiber_reversal(s, 0, SUCCESSOR)
     witnesses = list(_certified_tensor(n_support(m + n - 1), 1, s, predicted, "gamma", config))
     params = {"m": m, "n": n, "i": i, "field": config.kind, "q": config.q}
@@ -552,7 +562,7 @@ def oracle_nakayama_mu_check(m: int, n: int, i: int, config: FieldConfig = Field
     """Tensoring with the Nakayama triangle on the length-m side is the
     predecessor reversal of the length-m axis (slot i-1 instances)."""
     require_slots(inner_slot, m, n, i)
-    s = s_support(m, i - 1, n)
+    s = _tables(config).slot(m, i - 1, n)
     predicted = fiber_reversal(s, 1, PREDECESSOR)
     # the result keeps (gamma, nu) from the left and regrows the plain
     # m-axis on the right, so the predicted support gets permuted to match
@@ -564,7 +574,7 @@ def oracle_nakayama_mu_check(m: int, n: int, i: int, config: FieldConfig = Field
 
 def oracle_unit_check(m: int, n: int, i: int, config: FieldConfig = FieldConfig()) -> Report:
     """Tensoring with the regular bimodule changes nothing."""
-    s = s_support(m, i, n)
+    s = _tables(config).slot(m, i, n)
     witnesses = list(_certified_tensor(regular_support(m + n - 1), 1, s, s, "unit", config))
     params = {"m": m, "n": n, "i": i, "field": config.kind, "q": config.q}
     return Report("oracle_unit", params, s.size, s.size, witnesses)

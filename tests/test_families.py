@@ -70,6 +70,11 @@ def test_slot_support_bounds():
         s_support(2, 0, 1)
     with pytest.raises(ValueError):
         s_support(2, 1, 0)
+    # a stack holding slot 0 or slot m + 1 is refused, named by that slot
+    for m, slots, bad in ((3, [1, 0, 2], 0), (3, [2, 3, 4], 4), (1, [2], 2)):
+        refused = rf"^slot i={bad} is not a slot \(1 <= i <= m\) for m={m}, n=2$"
+        with pytest.raises(ValueError, match=refused):
+            families._slot_stack(m, slots, 2)
 
 
 def test_slot_support_downset_property():
@@ -101,10 +106,14 @@ def test_slot_support_gamma_fibers_nonempty():
 
 
 def test_alt_description_matches_exhaustively():
+    # one support at a time, and as members of the stack of every slot
     for m in range(1, 9):
         for n in range(1, 9):
+            stack = families._slot_stack(m, range(1, m + 1), n)
+            assert stack.shape.axes[1:] == triple_shape(m, n).axes
             for i in range(1, m + 1):
                 assert s_support_alt(m, i, n) == s_support(m, i, n)
+                assert Support(triple_shape(m, n), stack.mask[i - 1]) == s_support_alt(m, i, n)
 
 
 def test_alt_clause_two_admits_example_point():

@@ -186,8 +186,18 @@ def drop_fiber_top(support, mu, nu):
 
 def seeded_duality(monkeypatch, m, i, n, mu, nu):
     seeded, t = drop_fiber_top(s_support(m, i, n), mu, nu)
+
+    def seeded_stack(mm, slots, nn):
+        # the slot-i member of the stack that _nablas reads is the seeded support
+        stack = families._slot_stack(mm, slots, nn)
+        if (mm, nn) != (m, n):
+            return stack
+        mask = stack.mask.copy()
+        mask[np.equal(slots, i)] = seeded.mask
+        return Support(stack.shape, mask)
+
     with monkeypatch.context() as mp:
-        mp.setattr(k0, "s_support", lambda *args: seeded if args == (m, i, n) else s_support(*args))
+        mp.setattr(k0, "_slot_stack", seeded_stack)
         report = duality_check(m, i, n)
     return report, t
 
@@ -544,13 +554,12 @@ def test_anticyclic_sweep_builds_no_kronecker_or_flip_matrix(monkeypatch):
 
 
 def test_anticyclic_sweep_leaves_no_class_maps_behind():
-    # a sweep shares its insertion maps inside a group only: once the slot
-    # supports are dropped, under 1 MiB of what it allocated stays alive
+    # a sweep shares its insertion maps and slot supports inside a group
+    # only: under 1 MiB of what it allocated stays alive
     list(run_sweep(SweepConfig(suite="anticyclic", max_m=2)))
     tracemalloc.start()
     try:
         assert all(r.passed for r in run_sweep(SweepConfig(suite="anticyclic", max_m=12)))
-        s_support.cache_clear()
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
     finally:

@@ -80,7 +80,9 @@ def table_sizes(*names):
     """The sizes of the named tables (default: all, certificates last), or
     [0] when the tables are dropped."""
     t = oracle._TABLES
-    names = names or ("ids", "content", "shared", "fibers", "quotients", "induced", "certificates")
+    names = names or (
+        "ids", "content", "shared", "slots", "fibers", "quotients", "induced", "certificates"
+    )
     return [0] if t is None else [len(getattr(t, name)) for name in names]
 
 
@@ -636,6 +638,22 @@ def test_tables_stay_within_their_cap(monkeypatch):
     assert [0] in sizes and any(min(row) > 0 for row in sizes)
 
 
+def test_tables_keep_one_slot_support_per_triple(monkeypatch):
+    # the fiber and certificate tables key on slot supports, so the tables
+    # give one object per (m, i, n) until they are dropped
+    slot = oracle._tables(PRIME_CFG).slot(2, 1, 2)
+    assert oracle._tables(PRIME_CFG).slot(2, 1, 2) is slot
+    assert slot == s_support(2, 1, 2)
+    oracle_unit_check(2, 2, 1)
+    assert any(key is slot for key in oracle._TABLES.fibers)
+    # the slot table counts against the cap and goes with the other tables
+    monkeypatch.setattr(oracle, "_TABLE_CAP", 0)
+    oracle._drop_if_full(oracle._TABLES)
+    assert oracle._TABLES is None
+    fresh = oracle._tables(PRIME_CFG).slot(2, 1, 2)
+    assert fresh is not slot and fresh == slot
+
+
 def test_memos_hold_one_field_at_a_time():
     # a sweep runs its fields one after the other, so the tables of a field
     # are dropped when a call in another field comes, ids included
@@ -1041,10 +1059,10 @@ def test_sweep_with_tables_cleared_every_few_calls_keeps_its_bytes(tmp_path, mon
 
 
 def test_supports_keep_only_their_mask():
-    # the oracle reads the points and the point set of a cached slot support,
-    # which keeps neither: both are read from the mask on each use
+    # the oracle reads the points and the point set of the slot support its
+    # tables keep, which keeps neither: both are read from the mask on each use
     oracle_unit_check(2, 2, 1)
-    assert not {"points", "point_set"} & set(vars(s_support(2, 1, 2)))
+    assert not {"points", "point_set"} & set(vars(oracle._TABLES.slot(2, 1, 2)))
 
 
 def test_a_drop_during_a_call_leaves_that_call_alone(monkeypatch):

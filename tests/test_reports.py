@@ -1,6 +1,7 @@
 """Report values, the report file format, and sweep configuration."""
 
 import concurrent.futures
+import gc
 import hashlib
 import itertools
 import os
@@ -13,7 +14,6 @@ from types import SimpleNamespace
 import pytest
 
 import quiverdias.families as families
-import quiverdias.k0 as k0
 import quiverdias.sweeps as sweeps
 
 from quiverdias import __version__
@@ -177,21 +177,18 @@ def test_run_group_reports_its_tasks_one_by_one(name):
     assert {r.verifier for r in reports} == {name}
 
 
-def test_sweep_builds_each_slot_support_once(monkeypatch):
-    # the group path stacks cached slot supports; the cache holds every
-    # distinct one of the sweep, so none is built twice
-    real = families.s_support
-    real.cache_clear()
-    seen = set()
-
-    def recorded(m, i, n):
-        seen.add((m, i, n))
-        return real(m, i, n)
-
-    monkeypatch.setattr(families, "s_support", recorded)
-    monkeypatch.setattr(k0, "s_support", recorded)
-    assert all(r.passed for r in run_sweep(SweepConfig(suite="cooperad", max_m=8)))
-    assert real.cache_info().misses == len(seen) == 1212
+def test_cooperad_sweep_leaves_no_slot_supports_behind():
+    # each group builds the slot supports it reads, and nothing keeps them
+    # across groups: under 1 MiB of what a sweep allocated stays alive
+    list(run_sweep(SweepConfig(suite="cooperad", max_m=2)))
+    tracemalloc.start()
+    try:
+        assert all(r.passed for r in run_sweep(SweepConfig(suite="cooperad", max_m=8)))
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def test_sweep_config_validation():
