@@ -6,9 +6,9 @@ Subcommands:
   verify     run verification sweeps and write a line-delimited report file
   roundtrip  parse a support document and re-emit it canonically
 
-Exit codes: 0 success, 1 a verified identity failed, 2 bad parameters
-(sizes too large to allocate included) or unreadable input.  The default
-output directory for verify comes from QUIVERDIAS_OUT when set.
+Exit codes: 0 success, 1 a verified identity failed or a check crashed, 2
+bad parameters (sizes too large to allocate included) or unreadable input.
+The default output directory for verify comes from QUIVERDIAS_OUT when set.
 """
 
 from __future__ import annotations
@@ -72,7 +72,11 @@ def cmd_verify(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"verify-{args.suite}.jsonl"
     start = time.perf_counter()
-    total, failed = write_report_file(config.echo(), run_sweep(config), path)
+    try:
+        total, failed = write_report_file(config.echo(), run_sweep(config), path)
+    except ValueError as exc:
+        # the parameters were validated above, so a check is at fault: not exit 2
+        raise RuntimeError(f"check crashed: {exc}") from exc
     status = f"{len(failed)} FAILED" if failed else "all passed"
     print(f"{total} checks, {status}; report: {path}")
     print(f"elapsed: {time.perf_counter() - start:.2f}s", file=sys.stderr)

@@ -11,6 +11,7 @@ prime (default 32003).
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
@@ -56,9 +57,6 @@ class QuiverModule:
     def dim(self, vertex: Point) -> int:
         return self.dims.get(vertex, 0)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
 
 def indicator_module(support: Support, config: FieldConfig = FieldConfig()) -> QuiverModule:
     """One-dimensional spaces on the support, identity maps between adjacent
@@ -95,51 +93,76 @@ def _composite(F, second: Matrix, first: Matrix) -> Matrix | None:
 
 def _arrows(module: QuiverModule) -> dict[Point, list]:
     """One pass over the maps: for each vertex an arrow leaves, per axis,
-    that arrow as (target, matrix, its entry when 1x1 else None), or None."""
+    that arrow as (target, matrix), or None."""
     axes = module.shape.axes
     table: dict[Point, list] = {}
     for (base, a), mat in module.maps.items():
         head = base[:a] + (base[a] + 1,) + base[a + 1 :]
         src, dst = (base, head) if axes[a].polarity == PLAIN else (head, base)
         legs = table.get(src) or table.setdefault(src, [None] * len(axes))
-        legs[a] = (dst, mat, mat[0][0] if len(mat) == len(mat[0]) == 1 else None)
+        legs[a] = (dst, mat)
     return table
+
+
+def _unit_arrows(module: QuiverModule) -> tuple[list[int], list[int]] | None:
+    """When every stored arrow is the unit ((1,),), as the tensor body
+    stores it (a list matrix never is), with its base in the box and below
+    the top layer of its axis: per axis, the bits of the arrow bases at
+    their row-major box indices, and the row-major strides.  Else None."""
+    maps, lengths = module.maps, module.shape.lengths
+    if [*maps.values()].count(((1,),)) != len(maps):
+        return None
+    k = len(lengths)
+    index = dict(zip(itertools.product(*[range(1, n + 1) for n in lengths]), itertools.count()))
+    bits = [0] * k
+    for base, a in maps:
+        i = index.get(base)
+        if i is None or not 0 <= a < k or base[a] == lengths[a]:
+            return None
+        bits[a] |= 1 << i
+    return bits, [math.prod(lengths[a + 1 :]) for a in range(k)]
 
 
 def check_relations(module: QuiverModule) -> list[SquareViolation]:
     """All commutation squares whose two composites disagree, ordered by
     base, then by axes.
 
-    Both composites leave the square's source corner, which is low on plain
-    axes and high on op axes, so each square is read from the arrow table
-    of its source (see _arrows).  Arrows are stored only between vertices
-    of positive dimension, and a square where each path misses an arrow
+    With every arrow the unit (see _unit_arrows), a square fails exactly
+    when one of its two paths is complete, which a few shifts of the arrow
+    bits decide for all squares of an axis pair at once.  Otherwise both
+    composites leave the square's source corner, which is low on plain axes
+    and high on op axes, so each square is read from the arrow table of its
+    source (see _arrows).  Arrows are stored only between vertices of
+    positive dimension, and a square where each path misses an arrow
     commutes (both composites are zero) without a product being formed.
     """
-    F = module.config.field
-    norm = F.norm
-    table = _arrows(module)
     pairs = list(itertools.combinations(range(module.shape.arity), 2))
     out: list[SquareViolation] = []
-    for src, legs in table.items():
-        # the arrows leaving the corner each arrow from the source reaches
-        mids = [leg and table.get(leg[0]) for leg in legs]
+    unit = _unit_arrows(module)
+    if unit is not None:
+        (bits, strides), lengths = unit, module.shape.lengths
+        plain = [ax.polarity == PLAIN for ax in module.shape.axes]
         for a, b in pairs:
-            second_a, second_b = mids[a] and mids[a][b], mids[b] and mids[b][a]
-            if not (second_a or second_b):
-                continue
-            first_a, first_b = legs[a], legs[b]
-            scalars = second_a and second_b and (second_a[2], first_a[2], second_b[2], first_b[2])
-            if scalars and None not in scalars:
-                # four 1x1 arrows: the composites agree when they differ by zero
-                x, y, u, v = scalars
-                commutes = not norm(x * y - u * v)
-            else:
-                commutes = (second_a and _composite(F, second_a[1], first_a[1])) == (
+            A, B, sa, sb = bits[a], bits[b], strides[a], strides[b]
+            # each side of the xor is one path, complete at the square's base
+            bad = (A & B >> sa) ^ (B & A >> sb) if plain[a] == plain[b] else (A & B) ^ (A >> sb & B >> sa)
+            at = [i for i in range(bad.bit_length()) if bad >> i & 1]
+            out += [SquareViolation(tuple(i // s % n + 1 for s, n in zip(strides, lengths)), a, b) for i in at]
+    else:
+        F = module.config.field
+        table = _arrows(module)
+        for src, legs in table.items():
+            # the arrows leaving the corner each arrow from the source reaches
+            mids = [leg and table.get(leg[0]) for leg in legs]
+            for a, b in pairs:
+                second_a, second_b = mids[a] and mids[a][b], mids[b] and mids[b][a]
+                if not (second_a or second_b):
+                    continue
+                first_a, first_b = legs[a], legs[b]
+                if (second_a and _composite(F, second_a[1], first_a[1])) != (
                     second_b and _composite(F, second_b[1], first_b[1])
-                )
-            if not commutes:
-                out.append(SquareViolation(tuple(map(min, src, (second_a or second_b)[0])), a, b))
+                ):
+                    out.append(SquareViolation(tuple(map(min, src, (second_a or second_b)[0])), a, b))
     out.sort(key=lambda v: (v.base, v.axis_a, v.axis_b))
     return out
 
@@ -402,16 +425,29 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
     Requires the indicator dimension vector, nonzero scalars on every
     adjacent-in-support arrow, and a rescaling of basis vectors along a
     spanning forest that turns every remaining adjacent arrow into one.
-    The arrows are read in one pass over the maps, and must meet every
-    adjacent pair of support points, as counted on the mask.  When they are
-    all one already, no rescaling is needed and no forest is walked.
+    When every arrow is the unit (see _unit_arrows), only the first two
+    remain, and every adjacent pair of support points must carry an arrow:
+    per axis, the pairs are read from the bits of the support's mask.
+    Otherwise the arrows are read in one pass over the maps, and must meet
+    every adjacent pair of support points, as counted on the mask.
     """
     points = support.points
     if module.shape != support.shape or not _indicator_dims(module, points):
         return False
+    mask = support.mask
+    unit = _unit_arrows(module)
+    if unit is not None:
+        S = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+        box = (1 << mask.size) - 1
+        for A, s, n in zip(*unit, mask.shape):
+            # the top layer of the axis: the last s bits of every n * s
+            top = (((1 << s) - 1) << (n - 1) * s) * (box // ((1 << n * s) - 1))
+            if S & S >> s & ~top & ~A:
+                return False
+        return True
     F = module.config.field
     norm = F.norm
-    point_set, mask = set(points), support.mask
+    point_set = set(points)
     plain = [ax.polarity == PLAIN for ax in module.shape.axes]
     arrows = []
     for (p, a), mat in module.maps.items():
@@ -425,8 +461,6 @@ def iso_to_standard(module: QuiverModule, support: Support) -> bool:
     along = [mask.swapaxes(0, a) for a in range(mask.ndim)]
     if len(arrows) != sum(np.count_nonzero(m[1:] & m[:-1]) for m in along):
         return False
-    if all(arrow[3] == 1 for arrow in arrows):
-        return True
 
     edges: dict[Point, list[tuple[Point, Point, Point, object]]] = {p: [] for p in points}
     for p, q, a, scalar in arrows:

@@ -254,6 +254,29 @@ def test_verify_crash_leaves_no_partial_report(tmp_path, capsys, monkeypatch, ea
         assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("earlier", [False, True])
+def test_verify_closure_error_in_a_check_is_a_crash(tmp_path, monkeypatch, earlier):
+    # a ClosureError is a ValueError, which main reads as bad parameters
+    # (exit 2); raised by a check it ends the sweep as a crash instead
+    from quiverdias import sweeps
+    from quiverdias.supports import ClosureError
+
+    path = tmp_path / "verify-anticyclic.jsonl"
+    if earlier:
+        assert main(["verify", "--suite", "anticyclic", "--max", "3", "--out", str(tmp_path)]) == 0
+        before = path.read_bytes()
+
+    def defect(params):
+        raise ClosureError("seeded closure defect")
+
+    monkeypatch.setitem(sweeps._VERIFIERS, "inner", defect)
+    with pytest.raises(RuntimeError, match="^check crashed: seeded closure defect$"):
+        main(["verify", "--suite", "anticyclic", "--max", "3", "--out", str(tmp_path)])
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if earlier else [])
+    if earlier:
+        assert path.read_bytes() == before
+
+
 def test_verify_config_error_exit_2(capsys):
     assert main(["verify", "--suite", "oracle", "--max", "2", "--oracle-max", "5"]) == 2
     assert "oracle max" in capsys.readouterr().err

@@ -123,7 +123,7 @@ def test_standard_module_of_triangle():
 
 def test_standard_module_of_simple():
     mod = standard_module(interval_support(4, "simple", 2), PRIME_CFG)
-    assert mod.total_dim() == 1
+    assert sum(mod.dims.values()) == 1
     assert mod.maps == {}
 
 
@@ -908,6 +908,137 @@ def test_iso_on_the_ring_around_a_hole(cfg, scalars, polarities):
         rescaled.maps[(p, a)] = [[gauged(F, scale, p, q, polarities[a] == PLAIN)]]
     assert any(F.norm(mat[0][0]) != 1 for mat in rescaled.maps.values())
     assert iso_to_standard(rescaled, ring) and reference_iso_to_standard(rescaled, ring)
+
+
+# --- the unit path ---------------------------------------------------------------
+# A module whose every arrow is the tuple ((1,),), as the tensor body stores
+# the unit, is checked on bitsets; the same module with list matrices takes
+# the general path, which the tests above compare with the references.
+
+UNIT = ((1,),)
+
+
+def unit_form(module):
+    """The module with every arrow the tuple unit, dims copied."""
+    return QuiverModule(module.shape, module.config, dict(module.dims), dict.fromkeys(module.maps, UNIT))
+
+
+def list_form(module):
+    """The module with every arrow a fresh list matrix of the same entries."""
+    maps = {key: [list(row) for row in mat] for key, mat in module.maps.items()}
+    return QuiverModule(module.shape, module.config, dict(module.dims), maps)
+
+
+def assert_unit_path_agrees(module, support):
+    # the tuple form takes the unit path, the list form the general one
+    # unless there is no arrow
+    general = list_form(module)
+    assert oracle._unit_arrows(module) is not None
+    assert (oracle._unit_arrows(general) is None) == bool(module.maps)
+    assert check_relations(module) == check_relations(general) == reference_check_relations(general)
+    iso = iso_to_standard(module, support)
+    assert iso == iso_to_standard(general, support) == reference_iso_to_standard(general, support)
+    return iso
+
+
+@st.composite
+def unit_inputs(draw, cfg):
+    """A support of a random 2- or 3-axis box, most points in, a module with
+    its indicator dims but now and then one point changed, and the unit on a
+    random subset of the arrows of the box, also those that leave the
+    support."""
+    k = draw(st.integers(2, 3))
+    polarities = draw(st.lists(st.sampled_from((PLAIN, OP)), min_size=k, max_size=k))
+    lengths = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    shape = Shape(tuple(Axis(n, pol) for n, pol in zip(lengths, polarities)))
+    box = list(shape.iter_points())
+    support = make_support(shape, [p for p in box if draw(st.integers(0, 3))])
+    dims = {p: 1 if p in support else 0 for p in box if p in support or draw(st.booleans())}
+    if not draw(st.integers(0, 7)):
+        dims[draw(st.sampled_from(box))] = draw(st.integers(0, 2))
+    keys = [(p, a) for p in box for a in range(k) if p[a] < lengths[a]]
+    maps = {key: UNIT for key in keys if draw(st.integers(0, 5))}
+    return QuiverModule(shape, cfg, dims, maps), support
+
+
+@pytest.mark.parametrize("cfg", [PRIME_CFG, RAT_CFG], ids=["prime", "rational"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_unit_path_matches_the_general_path(cfg, data):
+    assert_unit_path_agrees(*data.draw(unit_inputs(cfg)))
+
+
+@pytest.mark.parametrize("cfg", [PRIME_CFG, RAT_CFG], ids=["prime", "rational"])
+def test_unit_module_missing_an_arrow_in_its_support_is_not_standard(cfg):
+    s = s_support(2, 1, 2)
+    module = unit_form(standard_module(s, cfg))
+    assert assert_unit_path_agrees(module, s)
+    for key in list(module.maps):
+        lacking = unit_form(module)
+        del lacking.maps[key]
+        assert not assert_unit_path_agrees(lacking, s), key
+
+
+@pytest.mark.parametrize("cfg", [PRIME_CFG, RAT_CFG], ids=["prime", "rational"])
+def test_unit_arrow_leaving_the_support_is_ignored(cfg):
+    s = s_support(2, 1, 2)
+    lengths = s.shape.lengths
+    leaving = [
+        (p, a)
+        for p in s.points
+        for a in range(s.shape.arity)
+        if p[a] < lengths[a] and p[:a] + (p[a] + 1,) + p[a + 1 :] not in s
+    ]
+    assert leaving
+    for key in leaving:
+        module = unit_form(standard_module(s, cfg))
+        module.maps[key] = UNIT
+        assert assert_unit_path_agrees(module, s), key
+
+
+@pytest.mark.parametrize("cfg", [PRIME_CFG, RAT_CFG], ids=["prime", "rational"])
+@pytest.mark.parametrize("polarities", list(itertools.product((PLAIN, OP), repeat=2)))
+def test_unit_square_on_three_corners_names_its_violation(cfg, polarities):
+    # the square of a 2 x 2 box without one corner: it breaks exactly when
+    # the two arrows left form a path, which is when the missing corner is
+    # neither the source nor the sink of the square
+    shape = Shape(tuple(Axis(2, pol) for pol in polarities))
+    box = list(shape.iter_points())
+    source = tuple(1 if pol == PLAIN else 2 for pol in polarities)
+    sink = tuple(3 - c for c in source)
+    for missing in box:
+        s = make_support(shape, [p for p in box if p != missing])
+        module = unit_form(indicator_module(s, cfg))
+        assert len(module.maps) == 2
+        broken = missing not in (source, sink)
+        assert check_relations(module) == ([SquareViolation((1, 1), 0, 1)] if broken else [])
+        assert_unit_path_agrees(module, s)
+
+
+@pytest.mark.parametrize("cfg", [PRIME_CFG, RAT_CFG], ids=["prime", "rational"])
+@pytest.mark.parametrize(
+    "key, entry",
+    [
+        (((3, 1), 0), UNIT),  # a base outside the box
+        (((0, 2), 1), UNIT),
+        (((2, 1), 0), UNIT),  # a base on the top layer of its axis
+        (((1, 1), 0), ((PRIME_CFG.q + 1,),)),  # one only once normalized
+        (((1, 1), 0), ((2,),)),
+    ],
+    ids=["outside", "below", "top-layer", "unreduced", "scaled"],
+)
+def test_unit_path_falls_back_to_the_general_path(cfg, key, entry):
+    full = make_support(Shape((Axis(2), Axis(2))), list(itertools.product((1, 2), (1, 2))))
+    module = unit_form(indicator_module(full, cfg))
+    module.maps[key] = entry
+    assert oracle._unit_arrows(module) is None
+    general = list_form(module)
+    assert check_relations(module) == check_relations(general)
+    assert iso_to_standard(module, full) == iso_to_standard(general, full)
+    if key[0] in full and key[0][key[1]] < 2:
+        # an arrow of the box: the references read it too
+        assert check_relations(module) == reference_check_relations(general)
+        assert iso_to_standard(module, full) == reference_iso_to_standard(general, full)
 
 
 # --- packaged oracle cross-checks -------------------------------------------------
