@@ -3,8 +3,8 @@
 s_support(m, i, n) is the support of the bimodule realizing insertion of an
 n-slot at position i among m inputs; n_support(n) is the triangle computing
 the Nakayama equivalence.  The verifiers below contract and reverse these
-families and compare the outcomes against independently coded clause sets,
-reporting witness points on any disagreement.
+families and compare the outcomes against independently coded displayed
+sets, reporting witness points on any disagreement.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .supports import (
 # each group body sizes its chunks: their scratch stays a few MiB at any (m, n, p)
 STACK_BYTES = 1 << 18
 
-# a predicate takes one coordinate per axis, as ints or as broadcasting integer
-# arrays, so clauses are written with & | and np.where, not and / or / if
+# a predicate takes one coordinate per axis, a fiber threshold one per other axis,
+# as ints or broadcasting integer arrays: both use & | and np.where, not if
 Predicate = Callable[..., bool]
 
 
@@ -44,14 +44,25 @@ def _require(cond: bool, message: str) -> None:
 
 def _from_predicate(shape: Shape, *clauses: Predicate) -> Support:
     """The box points satisfying any of the clauses, each evaluated once on
-    the 1-based coordinate grids of the box.  Clauses that broadcast arrays
-    of shape (k, 1, ..., 1) against the grids give k sets, stacked along a
-    new leading plain axis."""
+    the 1-based coordinate grids of the box."""
     grids = [g + 1 for g in np.indices(shape.lengths, sparse=True)]
     mask = functools.reduce(np.logical_or, (member(*grids) for member in clauses))
-    if mask.ndim > shape.arity:
-        shape = Shape(tuple(map(Axis, mask.shape[: mask.ndim - shape.arity])) + shape.axes)
     return Support(shape, np.broadcast_to(mask, shape.lengths))
+
+
+def _threshold_set(shape: Shape, axis: int, compare, bound: Callable, *slots) -> Support:
+    """The box points whose coordinate along axis compares true against
+    bound, a function of the coordinates along the other axes and of the
+    slots, evaluated once on their grids.  Slot arrays of shape (k,) give one
+    set per slot or slot pair, stacked along a new leading plain axis."""
+    lengths, rest = shape.lengths, shape.arity - 1
+    slots = [np.reshape(s, np.shape(s) + (1,) * rest) for s in slots]
+    grids = [g + 1 for g in np.indices(lengths[:axis] + lengths[axis + 1 :], sparse=True)]
+    b = bound(*grids, *slots)
+    lead = b.ndim - rest  # the stack axes, before those of the grids
+    coord = np.arange(1, lengths[axis] + 1).reshape((-1,) + (1,) * (rest - axis))
+    mask = compare(coord, np.expand_dims(b, lead + axis))
+    return Support(Shape(tuple(map(Axis, mask.shape[:lead])) + shape.axes), mask)
 
 
 @functools.cache
@@ -178,43 +189,32 @@ def require_slots(rule, m: int, n: int, *slots) -> None:
         raise ValueError(f"{noun} {named} {rule.outside} for m={m}, n={n}")
 
 
-def commutativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predicate]:
-    """The five mu-disjoint clauses predicted for parallel composition."""
-    return [
-        lambda g, mu, nu, pi: (mu <= i - 1) & (g <= mu),
-        lambda g, mu, nu, pi: (mu == i) & (g <= i + nu - 1),
-        lambda g, mu, nu, pi: (i + 1 <= mu) & (mu <= j - 1) & (g <= mu + n - 1),
-        lambda g, mu, nu, pi: (mu == j) & (g <= j + n + pi - 2),
-        lambda g, mu, nu, pi: (j + 1 <= mu) & (g <= mu + n + p - 2),
-    ]
-
-
 def reference_commutativity_set(m: int, n: int, p: int, i, j) -> Support:
-    """Expected support of both parallel compositions, on axes (g, mu, nu, pi);
-    for index arrays i and j, one such set per pair along a leading axis."""
+    """Expected support of both parallel compositions, on axes (g, mu, nu, pi),
+    as g <= top(mu, nu, pi); for index arrays i and j, one such set per pair
+    along a leading axis."""
     require_slots(parallel, m, n, i, j)
     _require(n >= 1 and p >= 1, f"need n, p >= 1, got n={n}, p={p}")
-    i, j = (np.reshape(x, np.shape(x) + (1,) * 4) for x in (i, j))
-    return _from_predicate(quad_shape(m, n, p), *commutativity_clauses(m, n, p, i, j))
 
+    def top(mu, nu, pi, i, j):
+        above = np.where(mu == j, j + n + pi - 2, mu + n + p - 2)
+        return np.where(mu < i, mu, np.where(mu == i, i + nu - 1, np.where(mu < j, mu + n - 1, above)))
 
-def associativity_clauses(m: int, n: int, p: int, i: int, j: int) -> list[Predicate]:
-    return [
-        lambda g, mu, nu, pi: (mu <= i - 1) & (g <= mu),
-        lambda g, mu, nu, pi: (mu == i) & (nu <= j - 1) & (g <= i + nu - 1),
-        lambda g, mu, nu, pi: (mu == i) & (nu == j) & (g <= i + j + pi - 2),
-        lambda g, mu, nu, pi: (mu == i) & (j + 1 <= nu) & (g <= i + nu + p - 2),
-        lambda g, mu, nu, pi: (i + 1 <= mu) & (g <= mu + n + p - 2),
-    ]
+    return _threshold_set(quad_shape(m, n, p), 0, np.less_equal, top, i, j)
 
 
 def reference_associativity_set(m: int, n: int, p: int, i, j) -> Support:
-    """Expected support of both nested compositions, on axes (g, mu, nu, pi);
-    for index arrays i and j, one such set per pair along a leading axis."""
+    """Expected support of both nested compositions, on axes (g, mu, nu, pi),
+    as g <= top(mu, nu, pi); for index arrays i and j, one such set per pair
+    along a leading axis."""
     require_slots(nested, m, n, i, j)
     _require(p >= 1, f"need p >= 1, got p={p}")
-    i, j = (np.reshape(x, np.shape(x) + (1,) * 4) for x in (i, j))
-    return _from_predicate(quad_shape(m, n, p), *associativity_clauses(m, n, p, i, j))
+
+    def top(mu, nu, pi, i, j):
+        on_slot = np.where(nu < j, i + nu - 1, np.where(nu == j, i + j + pi - 2, i + nu + p - 2))
+        return np.where(mu < i, mu, np.where(mu == i, on_slot, mu + n + p - 2))
+
+    return _threshold_set(quad_shape(m, n, p), 0, np.less_equal, top, i, j)
 
 
 def _composite(top: tuple, a1: int, bottom: tuple, perm: Sequence[int]) -> Support:
@@ -379,30 +379,28 @@ def verify_border(m: int, n: int) -> Report:
 
 
 def inner_reversal_reference(m: int, n: int, i) -> Support:
-    """Displayed form of the op-axis reversal of s_support(m, i, n); for an
-    index array i, one such set per slot along a leading axis."""
-    i = np.reshape(i, np.shape(i) + (1,) * 3)
+    """Displayed form of the op-axis reversal of s_support(m, i, n), as
+    g >= low(mu, nu); for an index array i, one such set per slot along a
+    leading axis."""
+    require_slots(any_slot, m, n, i)
 
-    def member(g, mu, nu):
-        return np.where(mu <= i - 1, g >= mu, np.where(mu == i, g >= i + nu - 1, g >= mu + n - 1))
+    def low(mu, nu, i):
+        return np.where(mu < i, mu, np.where(mu == i, i + nu - 1, mu + n - 1))
 
-    return _from_predicate(triple_shape(m, n), member)
+    return _threshold_set(triple_shape(m, n), 0, np.greater_equal, low, i)
 
 
 def inner_shift_reference(m: int, n: int, i) -> Support:
-    """Displayed length-m reversal of s_support(m, i-1, n); for an index
-    array i, one such set per slot along a leading axis."""
-    i = np.reshape(i, np.shape(i) + (1,) * 3)
+    """Displayed length-m reversal of s_support(m, i-1, n), as
+    mu <= top(g, nu); for an index array i, one such set per slot along a
+    leading axis."""
+    require_slots(inner_slot, m, n, i)
 
-    def member(g, mu, nu):
-        return (
-            ((g <= i - 1) & (g >= mu))
-            | ((i <= g) & (g <= i + n - 2) & (g <= i + nu - 2) & (mu <= i - 1))
-            | ((i <= g) & (g <= i + n - 2) & (g >= i + nu - 1) & (mu <= i))
-            | ((g >= i + n - 1) & (mu <= g - n + 1))
-        )
+    def top(g, nu, i):
+        between = np.where(g < i + nu - 1, i - 1, i)
+        return np.where(g < i, g, np.where(g < i + n - 1, between, g - n + 1))
 
-    return _from_predicate(triple_shape(m, n), member)
+    return _threshold_set(triple_shape(m, n), 1, np.less_equal, top, i)
 
 
 def inner_group(params: Sequence[dict]) -> list[Report]:

@@ -1,15 +1,15 @@
 """Support families and the four identity verifiers."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import quiverdias.families as families
 from quiverdias.families import (
-    associativity_clauses,
     border_intermediate_reference,
     border_reversal_reference,
-    commutativity_clauses,
     interval_support,
     n_support,
     quad_shape,
@@ -165,19 +165,82 @@ def test_reference_associativity_count():
     assert reference_associativity_set(2, 2, 2, 1, 1).size == 25
 
 
-def test_commutativity_clauses_mu_disjoint():
-    for (m, n, p, i, j) in [(2, 2, 2, 1, 2), (5, 3, 2, 2, 4), (4, 1, 3, 1, 3)]:
-        clauses = commutativity_clauses(m, n, p, i, j)
-        shape = reference_commutativity_set(m, n, p, i, j).shape
-        for pt in shape.iter_points():
-            assert sum(bool(c(*pt)) for c in clauses) <= 1
+# The paper displays each reference as a disjunction of clauses; families
+# writes them as fiber thresholds, so the clause forms live here, as what
+# each threshold is checked against.
 
 
-def test_associativity_clauses_partition():
-    clauses = associativity_clauses(3, 3, 2, 2, 1)
-    shape = reference_associativity_set(3, 3, 2, 2, 1).shape
-    for pt in shape.iter_points():
-        assert sum(bool(c(*pt)) for c in clauses) <= 1
+def commutativity_clauses(m, n, p, i, j):
+    """The five mu-disjoint clauses predicted for parallel composition."""
+    return [
+        lambda g, mu, nu, pi: (mu <= i - 1) & (g <= mu),
+        lambda g, mu, nu, pi: (mu == i) & (g <= i + nu - 1),
+        lambda g, mu, nu, pi: (i + 1 <= mu) & (mu <= j - 1) & (g <= mu + n - 1),
+        lambda g, mu, nu, pi: (mu == j) & (g <= j + n + pi - 2),
+        lambda g, mu, nu, pi: (j + 1 <= mu) & (g <= mu + n + p - 2),
+    ]
+
+
+def associativity_clauses(m, n, p, i, j):
+    """The five clauses predicted for nested composition."""
+    return [
+        lambda g, mu, nu, pi: (mu <= i - 1) & (g <= mu),
+        lambda g, mu, nu, pi: (mu == i) & (nu <= j - 1) & (g <= i + nu - 1),
+        lambda g, mu, nu, pi: (mu == i) & (nu == j) & (g <= i + j + pi - 2),
+        lambda g, mu, nu, pi: (mu == i) & (j + 1 <= nu) & (g <= i + nu + p - 2),
+        lambda g, mu, nu, pi: (i + 1 <= mu) & (g <= mu + n + p - 2),
+    ]
+
+
+def inner_reversal_clauses(m, n, i):
+    """The displayed op-axis reversal of s_support(m, i, n)."""
+    return [
+        lambda g, mu, nu: (mu <= i - 1) & (g >= mu),
+        lambda g, mu, nu: (mu == i) & (g >= i + nu - 1),
+        lambda g, mu, nu: (i + 1 <= mu) & (g >= mu + n - 1),
+    ]
+
+
+def inner_shift_clauses(m, n, i):
+    """The displayed length-m reversal of s_support(m, i-1, n)."""
+    return [
+        lambda g, mu, nu: (g <= i - 1) & (g >= mu),
+        lambda g, mu, nu: (i <= g) & (g <= i + n - 2) & (g <= i + nu - 2) & (mu <= i - 1),
+        lambda g, mu, nu: (i <= g) & (g <= i + n - 2) & (g >= i + nu - 1) & (mu <= i),
+        lambda g, mu, nu: (g >= i + n - 1) & (mu <= g - n + 1),
+    ]
+
+
+# reference -> its clause form, the shape it lives on, the rule of its slots,
+# the bound of its box parameters and their number: (m, n, p) or (m, n)
+DISPLAYED = {
+    "reference_commutativity_set": (commutativity_clauses, quad_shape, families.parallel, 4, 3),
+    "reference_associativity_set": (associativity_clauses, quad_shape, families.nested, 4, 3),
+    "inner_reversal_reference": (inner_reversal_clauses, triple_shape, families.any_slot, 6, 2),
+    "inner_shift_reference": (inner_shift_clauses, triple_shape, families.inner_slot, 6, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISPLAYED))
+def test_threshold_reference_matches_its_clause_form(name):
+    # for every box within the bound and every slot or slot pair it admits,
+    # the reference called on it alone, and as a member of the stack of all
+    # of them, equals its clause form at every point of the box
+    clauses, shape_of, rule, bound, params = DISPLAYED[name]
+    reference = getattr(families, name)
+    for box in itertools.product(range(1, bound + 1), repeat=params):
+        m, n = box[:2]
+        slot_range = range(1, max(m, n) + 1)
+        slots = [s for s in itertools.product(slot_range, repeat=params - 1) if rule(m, n, *s)]
+        if not slots:
+            continue
+        shape = shape_of(*box)
+        stack = reference(*box, *np.array(slots).T)
+        assert stack.shape.axes == (Axis(len(slots)),) + shape.axes
+        for k, s in enumerate(slots):
+            displayed = families._from_predicate(shape, *clauses(*box, *s))
+            assert reference(*box, *s) == displayed
+            assert Support(shape, stack.mask[k]) == displayed
 
 
 def test_reference_bounds():
@@ -185,6 +248,23 @@ def test_reference_bounds():
         reference_commutativity_set(2, 2, 2, 2, 2)  # needs i < j
     with pytest.raises(ValueError):
         reference_associativity_set(2, 2, 2, 1, 3)  # needs j <= n
+
+
+@pytest.mark.parametrize(
+    "name, slots, bad, outside",
+    [
+        ("inner_reversal_reference", 0, 0, r"is not a slot \(1 <= i <= m\)"),
+        ("inner_reversal_reference", 4, 4, r"is not a slot \(1 <= i <= m\)"),
+        ("inner_reversal_reference", [1, 5], 5, r"is not a slot \(1 <= i <= m\)"),
+        ("inner_shift_reference", 0, 0, r"is not an inner slot \(2 <= i <= m\)"),
+        ("inner_shift_reference", 1, 1, r"is not an inner slot \(2 <= i <= m\)"),
+        ("inner_shift_reference", [2, 1, 3], 1, r"is not an inner slot \(2 <= i <= m\)"),
+        ("inner_shift_reference", np.array([3, 4]), 4, r"is not an inner slot \(2 <= i <= m\)"),
+    ],
+)
+def test_inner_references_refuse_slots_outside_their_rule(name, slots, bad, outside):
+    with pytest.raises(ValueError, match=rf"^slot i={bad} {outside} for m=3, n=2$"):
+        getattr(families, name)(3, 2, slots)
 
 
 # --- verify_commutativity ----------------------------------------------------
@@ -319,7 +399,7 @@ def inner_params(draw):
 
 
 # verifier, its parameters, how many of them are slots, and per reference
-# clause set (called with the verifier's parameters) the checks that compare
+# set (called with the verifier's parameters) the checks that compare
 # against it as right-hand side
 SEEDED = {
     "commutativity": (
@@ -383,7 +463,7 @@ def seeding(real, point, slots=()):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_seeded_defect_is_named(verifier_name, data):
-    # flip one point of one reference clause set: the verifier must fail and
+    # flip one point of one reference set: the verifier must fail and
     # name exactly that point, "left only" when the flip dropped it from the
     # reference and "right only" when it added it
     verifier, params, slot_count, references = SEEDED[verifier_name]

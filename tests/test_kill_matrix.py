@@ -170,3 +170,14 @@ def test_every_verifier_is_killed():
 
 def test_unmutated_sweep_fails_nothing():
     assert failed_counts() == {}
+
+
+def test_slot_stack_defect_fails_the_displayed_reversal():
+    # the inner-reversal threshold shares no formula with _slot_stack, so a
+    # slot-support defect shows against the displayed set, not only as a
+    # disagreement of the two sides
+    with pytest.MonkeyPatch.context() as mp:
+        slot_stack_drops_a_fiber_top(mp)
+        reports = run_sweep(SweepConfig(suite="anticyclic", max_m=3))
+        checks = {w.check for r in reports if r.verifier == "inner" for w in r.witnesses}
+    assert "left_vs_displayed" in checks
